@@ -26,7 +26,8 @@
 //!   (`analysis.matching`), producing per-stage timing trees.
 //!
 //! * **Tracing** ([`trace`]) — 128-bit trace ids with deterministic
-//!   splitmix64 head-sampling, a bounded-ring span collector with
+//!   splitmix64 head-sampling (the `geosocial_fault::mix64` mixer, this
+//!   crate's one dependency), a bounded-ring span collector with
 //!   tail-based "always keep" promotion, wire-portable
 //!   [`trace::TraceContext`], and Chrome trace-event / text-timeline
 //!   export. The serving layer propagates the context end to end; see

@@ -444,8 +444,13 @@ mod tests {
         counter("test.render.a").inc();
         histogram("test.render.h_us").observe(3);
         histogram("test.render.h_us").observe(300);
-        let once = render_text();
-        let twice = render_text();
+        // Other tests in this process move their own series concurrently;
+        // compare only this test's series across the two renders.
+        let own = |text: String| -> String {
+            text.lines().filter(|l| l.contains("test.render.")).collect::<Vec<_>>().join("\n")
+        };
+        let once = own(render_text());
+        let twice = own(render_text());
         assert_eq!(once, twice, "render_text must be deterministic");
         let a = once.find("counter test.render.a").unwrap();
         let b = once.find("counter test.render.b").unwrap();

@@ -48,6 +48,10 @@ use std::sync::atomic::Ordering;
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+// The workspace's one splitmix64 mixer: trace ids, head sampling, the
+// shard hash and fault plans all draw from it, so they cannot drift apart.
+use geosocial_fault::mix64;
+
 /// Head-sampled at mint time (`splitmix64(trace_id) % denom == 0`).
 pub const FLAG_SAMPLED: u8 = 0x01;
 /// The frame is a retry redelivery (client sets on attempt > 0).
@@ -72,16 +76,6 @@ pub const PROMOTE_MASK: u8 = FLAG_RETRY | FLAG_DEDUP | FLAG_RECOVERY | FLAG_SLOW
 pub const DEFAULT_SAMPLE_DENOM: u64 = 64;
 /// Default root-span latency above which a trace is tail-promoted (µs).
 pub const DEFAULT_SLOW_US: u64 = 10_000;
-
-/// splitmix64 finalizer — the same mixer the shard router and fault plans
-/// use, duplicated here so `obs` stays dependency-free.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// Whether tracing is compiled in (`false` under the `noop` feature).
 #[inline]

@@ -7,7 +7,7 @@
 //! module docs for the topology and the handoff protocol.
 //!
 //! Stop the cluster with a `Shutdown` request through the router: it
-//! shuts every live shard process down, then itself.
+//! shuts every shard process down, then itself.
 
 use geosocial_serve::router::{run_with, RouterConfig};
 use std::net::{SocketAddr, TcpListener};

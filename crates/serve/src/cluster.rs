@@ -7,21 +7,19 @@
 //! random weight) hashing** over stable entry ids:
 //!
 //! ```text
-//! owner(user) = argmax over live entries e of mix64(mix64(e.id ^ SALT) + mix64(user))
+//! owner(user) = argmax over entries e of mix64(mix64(e.id ^ SALT) + mix64(user))
 //! ```
 //!
 //! which gives the two properties a routed cluster needs (proptested in
 //! `tests/router_map.rs`):
 //!
-//! * **total** — every user maps to exactly one live entry at every map
+//! * **total** — every user maps to exactly one entry at every map
 //!   version (ties broken by entry id, deterministically);
-//! * **minimal movement** — removing an entry only moves the users it
-//!   owned; adding one only moves the users it now wins. Everybody else
-//!   keeps their owner across versions.
-//!
-//! A handoff (same shard, new process) keeps the entry **id** and changes
-//! only its `addr`/`epoch`, so no user moves at all — the whole point of
-//! identifying entries by id rather than by address.
+//! * **stable** — a handoff (same shard, new process) keeps the entry
+//!   **id** and changes only its `addr`/`epoch`, so no user moves at all —
+//!   the whole point of identifying entries by id rather than by address.
+//!   (Rendezvous hashing would also keep movement minimal if entries were
+//!   ever added or removed; the map has no such operation today.)
 //!
 //! Every topology change bumps `version`; clients and the router compare
 //! versions (and per-entry epochs) to tell a planned handoff from an
@@ -44,15 +42,13 @@ pub struct ShardEntry {
     pub id: u64,
     /// The process currently owning this slot.
     pub addr: SocketAddr,
-    /// Whether the slot routes (false only mid-retirement).
-    pub live: bool,
     /// Process incarnation, bumped on every handoff.
     pub epoch: u64,
 }
 
-/// The versioned map. Entries are append-only within a map's lifetime —
-/// indices held by router links stay valid across handoffs, which mutate
-/// an entry in place.
+/// The versioned map. The entry set is fixed at construction, so indices
+/// held by router links stay valid across handoffs, which mutate an entry
+/// in place.
 #[derive(Debug, Clone, Default)]
 pub struct ShardMap {
     version: u64,
@@ -73,7 +69,7 @@ impl ShardMap {
             entries: addrs
                 .iter()
                 .enumerate()
-                .map(|(id, &addr)| ShardEntry { id: id as u64, addr, live: true, epoch: 0 })
+                .map(|(id, &addr)| ShardEntry { id: id as u64, addr, epoch: 0 })
                 .collect(),
         }
     }
@@ -88,14 +84,11 @@ impl ShardMap {
         &self.entries
     }
 
-    /// Index of the live entry owning `user`, or `None` on an empty map.
+    /// Index of the entry owning `user`, or `None` on an empty map.
     /// Deterministic: max weight, ties broken by lowest entry id.
     pub fn owner(&self, user: u32) -> Option<usize> {
         let mut best: Option<(u64, u64, usize)> = None;
         for (idx, e) in self.entries.iter().enumerate() {
-            if !e.live {
-                continue;
-            }
             let w = rendezvous_weight(e.id, user);
             let candidate = (w, u64::MAX - e.id, idx);
             if best.is_none_or(|b| candidate > (b.0, b.1, b.2)) {
@@ -103,27 +96,6 @@ impl ShardMap {
             }
         }
         best.map(|(_, _, idx)| idx)
-    }
-
-    /// Add a shard slot with the next free id. Returns its index.
-    pub fn add(&mut self, addr: SocketAddr) -> usize {
-        let id = self.entries.iter().map(|e| e.id + 1).max().unwrap_or(0);
-        self.entries.push(ShardEntry { id, addr, live: true, epoch: 0 });
-        self.version += 1;
-        self.entries.len() - 1
-    }
-
-    /// Stop routing to entry `id` (retirement without replacement — the
-    /// remaining entries absorb its users). Returns false on unknown id.
-    pub fn retire(&mut self, id: u64) -> bool {
-        match self.entries.iter_mut().find(|e| e.id == id) {
-            Some(e) => {
-                e.live = false;
-                self.version += 1;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Hand entry `id` off to a replacement process at `addr`: bump its
@@ -134,7 +106,6 @@ impl ShardMap {
         let e = &mut self.entries[idx];
         let old = e.addr;
         e.addr = addr;
-        e.live = true;
         e.epoch += 1;
         self.version += 1;
         Some((idx, old))
@@ -147,12 +118,7 @@ impl ShardMap {
             entries: self
                 .entries
                 .iter()
-                .map(|e| ShardEntryInfo {
-                    id: e.id,
-                    addr: e.addr.to_string(),
-                    live: e.live,
-                    epoch: e.epoch,
-                })
+                .map(|e| ShardEntryInfo { id: e.id, addr: e.addr.to_string(), epoch: e.epoch })
                 .collect(),
         }
     }
@@ -194,20 +160,5 @@ mod tests {
         assert_eq!(map.entries()[2].epoch, 1);
         let after: Vec<usize> = (0..2000u32).map(|u| map.owner(u).unwrap()).collect();
         assert_eq!(before, after, "a handoff keeps the entry id, so no user may move");
-    }
-
-    #[test]
-    fn retire_moves_only_the_retired_entrys_users() {
-        let mut map = ShardMap::new(&[addr(1), addr(2), addr(3), addr(4)]);
-        let before: Vec<usize> = (0..2000u32).map(|u| map.owner(u).unwrap()).collect();
-        map.retire(1);
-        for (user, &was) in before.iter().enumerate() {
-            let now = map.owner(user as u32).unwrap();
-            if was == 1 {
-                assert_ne!(now, 1, "retired entry must not own user {user}");
-            } else {
-                assert_eq!(now, was, "user {user} moved although its owner stayed live");
-            }
-        }
     }
 }

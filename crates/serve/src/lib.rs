@@ -8,6 +8,8 @@
 //! through the private `merge` module.
 
 pub mod cluster;
+#[cfg(test)]
+mod golden;
 pub mod loadgen;
 mod merge;
 pub mod protocol;

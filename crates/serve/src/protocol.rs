@@ -296,8 +296,6 @@ pub struct ShardEntryInfo {
     pub id: u64,
     /// `host:port` of the process currently owning the slot.
     pub addr: String,
-    /// Whether the slot currently routes (false only mid-retirement).
-    pub live: bool,
     /// Process incarnation: bumped on every handoff of this slot.
     pub epoch: u64,
 }
@@ -488,16 +486,9 @@ pub struct SeriesRate {
 
 /// Write one frame.
 pub fn write_msg<T: Serialize, W: Write>(w: &mut W, msg: &T) -> io::Result<()> {
-    let json = serde_json::to_string(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))?;
-    let bytes = json.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)
+    let mut frame = Vec::new();
+    crate::wire::frame_json(&mut frame, msg)?;
+    w.write_all(&frame)
 }
 
 /// Read one frame's payload into `buf` (reused across calls — no per-frame

@@ -8,7 +8,7 @@
 //! owning shard process (chosen by the rendezvous map in
 //! [`crate::cluster`]) as **raw bytes**, and fans broadcast frames
 //! (`Hello`, `Window`, `Stats`, `Finish`, `Drain`, `Traces`, `Metrics`)
-//! out to every live shard, merging the answers through [`crate::merge`]
+//! out to every shard, merging the answers through [`crate::merge`]
 //! — the same fold the single-process server uses, which is what makes a
 //! cluster byte-indistinguishable from one process.
 //!
@@ -367,7 +367,7 @@ fn reconnect(link: &Arc<Link>, shared: &Arc<Shared>, conn: &Arc<ConnCtl>) -> boo
         }
         let addr = {
             let map = shared.map.read().expect("map lock");
-            map.entries().get(link.idx).filter(|e| e.live).map(|e| e.addr)
+            map.entries().get(link.idx).map(|e| e.addr)
         };
         if let Some(addr) = addr {
             if let Ok(stream) = connect_shard(addr, &shared.config) {
@@ -582,12 +582,12 @@ fn handle_wide(
         }
         Request::Shutdown => {
             metrics::frames_control().inc();
-            // Stop every live shard process, then this router. Fresh
+            // Stop every shard process, then this router. Fresh
             // best-effort connections: a dead shard must not block the
             // cluster's shutdown.
             let addrs: Vec<SocketAddr> = {
                 let map = shared.map.read().expect("map lock");
-                map.entries().iter().filter(|e| e.live).map(|e| e.addr).collect()
+                map.entries().iter().map(|e| e.addr).collect()
             };
             for addr in addrs {
                 if let Err(e) = control_roundtrip(addr, &Request::Shutdown) {
@@ -622,7 +622,7 @@ fn handle_wide(
     }
 }
 
-/// Fan one frame out to every live shard and owe the client the merged
+/// Fan one frame out to every shard and owe the client the merged
 /// answer.
 fn broadcast(
     conn: &Arc<ConnCtl>,
@@ -633,15 +633,12 @@ fn broadcast(
     kind: BroadcastKind,
 ) -> io::Result<()> {
     metrics::frames_broadcast().inc();
-    let targets: Vec<usize> = {
-        let map = shared.map.read().expect("map lock");
-        map.entries().iter().enumerate().filter(|(_, e)| e.live).map(|(i, _)| i).collect()
-    };
+    let targets: Vec<usize> = (0..shared.map.read().expect("map lock").entries().len()).collect();
     if targets.is_empty() {
         return send_inline(
             owed_tx,
             fmt,
-            &Response::Error { message: "no live shards in the cluster map".into() },
+            &Response::Error { message: "no shards in the cluster map".into() },
         );
     }
     let frame = framed(payload);
@@ -695,7 +692,7 @@ fn forward_loop(
                     send_inline(
                         owed_tx,
                         fmt,
-                        &Response::Error { message: "no live shards in the cluster map".into() },
+                        &Response::Error { message: "no shards in the cluster map".into() },
                     )?;
                     continue;
                 };
@@ -891,7 +888,7 @@ fn record_link_depths(shared: &Shared) {
 }
 
 /// Route on an already-bound listener until a client requests
-/// `Shutdown` (which also stops every live shard process).
+/// `Shutdown` (which also stops every shard process).
 pub fn run_with(listener: TcpListener, config: RouterConfig) -> io::Result<()> {
     if config.shards.is_empty() {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "router needs at least one shard"));

@@ -1,7 +1,7 @@
 //! Byte codecs between shard state and the event store.
 //!
-//! Two layers, both built on `geosocial-store`'s scalar codec (the same
-//! varint/zigzag/f64 forms the binary wire speaks):
+//! Two layers, both built on `geosocial-store`'s codec (the one the
+//! binary wire speaks too; verdict records share the wire's layout):
 //!
 //! * **Event payloads** — what one stored log record's body carries beyond
 //!   the `(user, t)` header the store frames itself. Ingest events encode
@@ -31,11 +31,12 @@ use geosocial_stream::snapshot::{
     AuditorState, DetectorState, HeldEventState, PendingCheckinState, ReorderState, StageState,
     TrackedVisitState,
 };
-use geosocial_stream::{AuditVerdict, OnlineAuditor, StreamComposition, VerdictKind};
+use geosocial_stream::{OnlineAuditor, StreamComposition};
 use geosocial_trace::{Checkin, GpsPoint, PoiCategory, Provenance, Timestamp, Visit};
 
 use crate::protocol::{Request, ShardStats};
 use crate::server::{ServerConfig, ShardState};
+use crate::wire::{bad, put_verdict, read_verdict};
 
 /// Snapshot layout version (leading byte of every encoded shard state).
 const STATE_VERSION: u8 = 1;
@@ -101,7 +102,7 @@ pub(crate) fn decode_event(rec: &StoredRecord) -> Result<Request, CodecError> {
             user: rec.user,
             seq: r.varint()?,
             t: rec.t,
-            poi: u32_field(&mut r, "poi id")?,
+            poi: r.u32("poi id")?,
             lat: r.f64()?,
             lon: r.f64()?,
         },
@@ -143,19 +144,18 @@ pub(crate) fn decode_span(
     let mut r = Reader::new(&rec.payload);
     let kind = r.byte()?;
     if kind != EV_SPAN {
-        return Err(err_at(&r, format!("trace stream holds record kind {kind}, want span")));
+        return Err(bad(r.pos(), format!("trace stream holds record kind {kind}, want span")));
     }
     let lo = r.varint()?;
     let hi = r.varint()?;
     let span_id = r.varint()?;
     let parent = r.varint()?;
-    let name =
-        String::from_utf8(r.bytes()?.to_vec()).map_err(|_| err_at(&r, "span name is not UTF-8"))?;
+    let name = r.str("span name")?.to_string();
     let start_us = r.varint()?;
     let dur_us = r.varint()?;
     let flags = r.byte()?;
     let shard = r.zigzag()?;
-    let shard = i32::try_from(shard).map_err(|_| err_at(&r, format!("span shard {shard}")))?;
+    let shard = i32::try_from(shard).map_err(|_| bad(r.pos(), format!("span shard {shard}")))?;
     r.finish()?;
     Ok(geosocial_obs::trace::SpanRecord {
         trace_id: (lo as u128) | ((hi as u128) << 64),
@@ -173,16 +173,6 @@ pub(crate) fn decode_span(
 // Scalar helpers
 // ---------------------------------------------------------------------------
 
-fn err_at(r: &Reader<'_>, detail: impl Into<String>) -> CodecError {
-    CodecError { offset: r.pos(), detail: detail.into() }
-}
-
-fn u32_field(r: &mut Reader<'_>, what: &str) -> Result<u32, CodecError> {
-    let v = r.varint()?;
-    u32::try_from(v)
-        .map_err(|_| CodecError { offset: r.pos(), detail: format!("{what} {v} > u32::MAX") })
-}
-
 fn usize_field(r: &mut Reader<'_>) -> Result<usize, CodecError> {
     Ok(r.varint()? as usize)
 }
@@ -195,7 +185,7 @@ fn read_bool(r: &mut Reader<'_>) -> Result<bool, CodecError> {
     match r.byte()? {
         0 => Ok(false),
         1 => Ok(true),
-        other => Err(err_at(r, format!("bool flag must be 0|1, got {other}"))),
+        other => Err(bad(r.pos(), format!("bool flag must be 0|1, got {other}"))),
     }
 }
 
@@ -239,7 +229,7 @@ fn read_visit(r: &mut Reader<'_>) -> Result<Visit, CodecError> {
         0 => None,
         p => Some(
             u32::try_from(p - 1)
-                .map_err(|_| err_at(r, format!("visit poi id {} > u32::MAX", p - 1)))?,
+                .map_err(|_| bad(r.pos(), format!("visit poi id {} > u32::MAX", p - 1)))?,
         ),
     };
     Ok(Visit { start, end, centroid, poi })
@@ -264,11 +254,11 @@ fn put_checkin(out: &mut Vec<u8>, c: &Checkin) {
 
 fn read_checkin(r: &mut Reader<'_>) -> Result<Checkin, CodecError> {
     let t = r.zigzag()?;
-    let poi = u32_field(r, "poi id")?;
+    let poi = r.u32("poi id")?;
     let cat = r.byte()? as usize;
     let category = *PoiCategory::ALL
         .get(cat)
-        .ok_or_else(|| err_at(r, format!("unknown poi category {cat}")))?;
+        .ok_or_else(|| bad(r.pos(), format!("unknown poi category {cat}")))?;
     let location = LatLon { lat: r.f64()?, lon: r.f64()? };
     let provenance = match r.byte()? {
         0 => None,
@@ -277,52 +267,9 @@ fn read_checkin(r: &mut Reader<'_>) -> Result<Checkin, CodecError> {
         3 => Some(Provenance::Remote),
         4 => Some(Provenance::Driveby),
         5 => Some(Provenance::Spoofed),
-        other => return Err(err_at(r, format!("unknown provenance {other}"))),
+        other => return Err(bad(r.pos(), format!("unknown provenance {other}"))),
     };
     Ok(Checkin { t, poi, category, location, provenance })
-}
-
-fn put_verdict(out: &mut Vec<u8>, v: &AuditVerdict) {
-    put_varint(out, v.user as u64);
-    put_varint(out, v.checkin_index as u64);
-    put_zigzag(out, v.t);
-    out.push(match v.kind {
-        VerdictKind::Honest => 0,
-        VerdictKind::Superfluous => 1,
-        VerdictKind::Remote => 2,
-        VerdictKind::Driveby => 3,
-        VerdictKind::Unclassified => 4,
-    });
-    put_varint(out, v.visit_index.map_or(0, |i| i as u64 + 1));
-    put_f64(out, v.distance_m);
-    put_zigzag(out, v.dt_s);
-}
-
-fn read_verdict(r: &mut Reader<'_>) -> Result<AuditVerdict, CodecError> {
-    let user = u32_field(r, "user id")?;
-    let checkin_index = usize_field(r)?;
-    let t = r.zigzag()?;
-    let kind = match r.byte()? {
-        0 => VerdictKind::Honest,
-        1 => VerdictKind::Superfluous,
-        2 => VerdictKind::Remote,
-        3 => VerdictKind::Driveby,
-        4 => VerdictKind::Unclassified,
-        other => return Err(err_at(r, format!("unknown verdict kind {other}"))),
-    };
-    let visit_index = match r.varint()? {
-        0 => None,
-        i => Some(i as usize - 1),
-    };
-    Ok(AuditVerdict {
-        user,
-        checkin_index,
-        t,
-        kind,
-        visit_index,
-        distance_m: r.f64()?,
-        dt_s: r.zigzag()?,
-    })
 }
 
 fn put_comp(out: &mut Vec<u8>, c: &StreamComposition) {
@@ -346,7 +293,7 @@ fn put_comp(out: &mut Vec<u8>, c: &StreamComposition) {
 
 fn read_comp(r: &mut Reader<'_>) -> Result<StreamComposition, CodecError> {
     Ok(StreamComposition {
-        user: u32_field(r, "user id")?,
+        user: r.u32("user id")?,
         total_checkins: usize_field(r)?,
         honest: usize_field(r)?,
         superfluous: usize_field(r)?,
@@ -481,7 +428,7 @@ fn put_auditor(out: &mut Vec<u8>, a: &AuditorState) {
 }
 
 fn read_auditor(r: &mut Reader<'_>) -> Result<AuditorState, CodecError> {
-    let user = u32_field(r, "user id")?;
+    let user = r.u32("user id")?;
     let detector = read_detector(r)?;
     let n = usize_field(r)?;
     let mut gps_window = Vec::with_capacity(n.min(1024));
@@ -507,7 +454,7 @@ fn read_auditor(r: &mut Reader<'_>) -> Result<AuditorState, CodecError> {
             0 => StageState::Candidate,
             1 => StageState::Dedup(usize_field(r)?),
             2 => StageState::Classify,
-            other => return Err(err_at(r, format!("unknown pending stage {other}"))),
+            other => return Err(bad(r.pos(), format!("unknown pending stage {other}"))),
         };
         pending.push(PendingCheckinState { index, checkin, stage });
     }
@@ -522,7 +469,7 @@ fn read_auditor(r: &mut Reader<'_>) -> Result<AuditorState, CodecError> {
             let ev = match r.byte()? {
                 0 => HeldEventState::Gps(read_point(r)?),
                 1 => HeldEventState::Checkin(read_checkin(r)?),
-                other => return Err(err_at(r, format!("unknown held event kind {other}"))),
+                other => return Err(bad(r.pos(), format!("unknown held event kind {other}"))),
             };
             held.push((t, seq, ev));
         }
@@ -602,7 +549,7 @@ pub(crate) fn decode_state(bytes: &[u8], config: &ServerConfig) -> Result<ShardS
     let mut r = Reader::new(bytes);
     let version = r.byte()?;
     if version != STATE_VERSION {
-        return Err(err_at(&r, format!("unsupported shard snapshot version {version}")));
+        return Err(bad(r.pos(), format!("unsupported shard snapshot version {version}")));
     }
     let shard = usize_field(&mut r)?;
     let mut state = ShardState::new(shard);
@@ -623,13 +570,13 @@ pub(crate) fn decode_state(bytes: &[u8], config: &ServerConfig) -> Result<ShardS
     let users = usize_field(&mut r)?;
     state.stats.users = users;
     for slot in 0..users {
-        let user = u32_field(&mut r, "user id")?;
+        let user = r.u32("user id")?;
         let next_seq = r.varint()?;
         let astate = read_auditor(&mut r)?;
         let audit = state
             .audit
             .clone()
-            .ok_or_else(|| err_at(&r, "user state present but no origin in snapshot"))?;
+            .ok_or_else(|| bad(r.pos(), "user state present but no origin in snapshot"))?;
         state.slot_of.insert(user, slot);
         state.users.push(user);
         state.next_seq.push(next_seq);

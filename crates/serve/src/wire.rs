@@ -21,7 +21,10 @@
 //!
 //! # Binary layout
 //!
-//! Scalar fields use three encodings, all byte-oriented (no alignment):
+//! Scalar fields use the encodings of `geosocial_store::codec`, the one
+//! binary codec the segment log and shard snapshots also use: every
+//! field is written with its `put_*` functions and read back through its
+//! `Reader`. All are byte-oriented (no alignment):
 //!
 //! * **varint** — LEB128, 7 bits per byte, low group first, at most 10
 //!   bytes for a `u64`;
@@ -31,7 +34,8 @@
 //!   lat/lon encodings were measured and rejected: any quantization breaks
 //!   the byte-identical served-vs-batch equivalence proof this repo is
 //!   built around, and the 8-byte cost is recovered by the run delta
-//!   encoding below.
+//!   encoding below;
+//! * **string** — a varint byte length, then UTF-8 bytes.
 //!
 //! Requests:
 //!
@@ -55,7 +59,7 @@
 //! 0x8C Window    count varint, count user varints, t0 zigzag, t1 zigzag
 //! 0x8D Traces    filter u8 (bit0 = trace_id present, bit1 = path
 //!                present), [trace_id 16 bytes LE], slowest varint,
-//!                [path length varint, UTF-8 bytes]
+//!                [path string]
 //! 0x8E MetricsHistory  last varint
 //! ```
 //!
@@ -96,10 +100,13 @@
 //!                user varint, checkin_index varint, t zigzag, kind u8,
 //!                visit_index+1 varint (0 = none), distance f64,
 //!                dt_s zigzag
-//! 0xC2 Error     message length varint, UTF-8 bytes
+//! 0xC2 Error     message string
 //! ```
 //!
-//! Every decode failure is a structured [`DecodeError`] carrying the
+//! The verdict record is the same one shard snapshots store: both encode
+//! and decode it with this module's `put_verdict`/`read_verdict` pair.
+//!
+//! Every decode failure is a structured `CodecError` carrying the
 //! payload byte offset it happened at — a truncated varint, an unknown
 //! opcode, or a run length past [`MAX_RUN_LEN`] names the exact spot, so
 //! chaos-test failures are diagnosable instead of a generic io error.
@@ -108,6 +115,7 @@ use std::io;
 
 use crate::protocol::{Request, Response, WireFix};
 use geosocial_obs::trace::{parse_trace_id, trace_hex, TraceContext};
+use geosocial_store::{put_bytes, put_f64, put_varint, put_zigzag, CodecError, Reader};
 use geosocial_stream::{AuditVerdict, VerdictKind};
 use serde::{Deserialize, Serialize};
 
@@ -177,158 +185,21 @@ const OP_OK: u8 = 0xC0;
 const OP_VERDICTS: u8 = 0xC1;
 const OP_ERROR: u8 = 0xC2;
 
-/// A structured decode failure: what went wrong and the payload byte
-/// offset it went wrong at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// Byte offset inside the frame payload.
-    pub offset: usize,
-    /// What the decoder expected or found.
-    pub detail: String,
+/// A decode failure at payload byte `offset`.
+pub(crate) fn bad(offset: usize, detail: impl Into<String>) -> CodecError {
+    CodecError { offset, detail: detail.into() }
 }
 
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "frame payload byte {}: {}", self.offset, self.detail)
-    }
+/// Append a 128-bit trace id as two little-endian u64 halves, low first.
+fn put_trace_id(out: &mut Vec<u8>, id: u128) {
+    out.extend_from_slice(&(id as u64).to_le_bytes());
+    out.extend_from_slice(&((id >> 64) as u64).to_le_bytes());
 }
 
-impl std::error::Error for DecodeError {}
-
-impl From<DecodeError> for io::Error {
-    fn from(e: DecodeError) -> Self {
-        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scalar encoders
-// ---------------------------------------------------------------------------
-
-/// Append a LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Append a zigzag-mapped signed varint.
-pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
-    put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Scalar decoder
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked cursor over one frame payload. Every failure carries
-/// the current offset.
-struct Decoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Decoder { bytes, pos: 0 }
-    }
-
-    fn err<T>(&self, detail: impl Into<String>) -> Result<T, DecodeError> {
-        Err(DecodeError { offset: self.pos, detail: detail.into() })
-    }
-
-    fn byte(&mut self) -> Result<u8, DecodeError> {
-        match self.bytes.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => self.err(format!("unexpected end of {}-byte payload", self.bytes.len())),
-        }
-    }
-
-    fn varint(&mut self) -> Result<u64, DecodeError> {
-        let start = self.pos;
-        let mut v: u64 = 0;
-        for shift in 0..10 {
-            let byte = match self.bytes.get(self.pos) {
-                Some(&b) => b,
-                None => {
-                    self.pos = start;
-                    return self.err("truncated varint");
-                }
-            };
-            self.pos += 1;
-            let group = (byte & 0x7F) as u64;
-            // The 10th group may only carry the single remaining bit.
-            if shift == 9 && group > 1 {
-                self.pos = start;
-                return self.err("varint overflows u64");
-            }
-            v |= group << (shift * 7);
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        self.pos = start;
-        self.err("varint longer than 10 bytes")
-    }
-
-    fn zigzag(&mut self) -> Result<i64, DecodeError> {
-        let v = self.varint()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        if self.pos + 8 > self.bytes.len() {
-            return self.err("truncated f64 (need 8 bytes)");
-        }
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(b)))
-    }
-
-    fn f64_bits(&mut self) -> Result<u64, DecodeError> {
-        self.f64().map(f64::to_bits)
-    }
-
-    fn u64_le(&mut self) -> Result<u64, DecodeError> {
-        if self.pos + 8 > self.bytes.len() {
-            return self.err("truncated u64 (need 8 bytes)");
-        }
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn u32_field(&mut self, what: &str) -> Result<u32, DecodeError> {
-        let v = self.varint()?;
-        u32::try_from(v)
-            .map_err(|_| DecodeError { offset: self.pos, detail: format!("{what} {v} > u32::MAX") })
-    }
-
-    fn finish(&self) -> Result<(), DecodeError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(DecodeError {
-                offset: self.pos,
-                detail: format!("{} trailing bytes after the message", self.bytes.len() - self.pos),
-            })
-        }
-    }
+fn read_trace_id(r: &mut Reader<'_>) -> Result<u128, CodecError> {
+    let lo = r.u64_le()?;
+    let hi = r.u64_le()?;
+    Ok(((hi as u128) << 64) | lo as u128)
 }
 
 // ---------------------------------------------------------------------------
@@ -403,22 +274,13 @@ pub fn encode_request_payload(out: &mut Vec<u8>, req: &Request) {
         Request::Traces { trace_id, slowest, path } => {
             out.push(OP_TRACES);
             let parsed = trace_id.as_deref().and_then(parse_trace_id);
-            let mut filter = 0u8;
-            if parsed.is_some() {
-                filter |= 1;
-            }
-            if path.is_some() {
-                filter |= 2;
-            }
-            out.push(filter);
+            out.push(parsed.is_some() as u8 | (path.is_some() as u8) << 1);
             if let Some(id) = parsed {
-                out.extend_from_slice(&(id as u64).to_le_bytes());
-                out.extend_from_slice(&((id >> 64) as u64).to_le_bytes());
+                put_trace_id(out, id);
             }
             put_varint(out, *slowest as u64);
             if let Some(p) = path {
-                put_varint(out, p.len() as u64);
-                out.extend_from_slice(p.as_bytes());
+                put_bytes(out, p.as_bytes());
             }
         }
         Request::MetricsHistory { last } => {
@@ -455,7 +317,7 @@ pub fn request_has_binary_form(req: &Request) -> bool {
 pub enum RoutePeek {
     /// Route to the shard owning this user (ingest and per-user queries).
     User(u32),
-    /// Fan out to every live shard and merge the answers.
+    /// Fan out to every shard and merge the answers.
     Broadcast,
     /// Answered by the router itself; decode the frame fully to dispatch.
     Control,
@@ -484,6 +346,39 @@ pub fn route_of(req: &Request) -> RoutePeek {
     }
 }
 
+/// Append the `0x90` envelope header (the trace context); the inner
+/// request payload follows it.
+fn put_trace_envelope(out: &mut Vec<u8>, ctx: &TraceContext) {
+    out.push(OP_TRACED);
+    put_trace_id(out, ctx.trace_id);
+    out.extend_from_slice(&ctx.span_id.to_le_bytes());
+    out.push(ctx.flags);
+    put_varint(out, ctx.start_us);
+    put_varint(out, ctx.attempt as u64);
+}
+
+/// Open a binary request payload: a reader positioned at the request
+/// opcode, plus the trace context if the payload starts with the `0x90`
+/// envelope.
+fn open_request(payload: &[u8]) -> Result<(Reader<'_>, Option<TraceContext>), CodecError> {
+    let mut r = Reader::new(payload);
+    if payload.first() != Some(&OP_TRACED) {
+        return Ok((r, None));
+    }
+    r.byte()?;
+    let ctx = TraceContext {
+        trace_id: read_trace_id(&mut r)?,
+        span_id: r.u64_le()?,
+        flags: r.byte()?,
+        start_us: r.varint()?,
+        attempt: r.u32("attempt")?,
+    };
+    if r.remaining() == 0 {
+        return Err(bad(r.pos(), "trace envelope wraps an empty request"));
+    }
+    Ok((r, Some(ctx)))
+}
+
 /// Peek a request frame's route without decoding its body. On the binary
 /// wire this reads the opcode (skipping a trace-context envelope, whose
 /// context is returned so the router can attach its own span) and, for
@@ -491,85 +386,50 @@ pub fn route_of(req: &Request) -> RoutePeek {
 /// of frame size. JSON frames take the full parse; that wire is the
 /// debug/compat path. The route classes agree with [`route_of`] by
 /// construction (proptested in `tests/protocol_fuzz.rs`).
-pub fn peek_route(payload: &[u8]) -> Result<(RoutePeek, Option<TraceContext>), DecodeError> {
-    match detect(payload) {
-        WireFormat::Binary => {
-            let mut d = Decoder::new(payload);
-            let mut ctx = None;
-            let mut op = d.byte()?;
-            if op == OP_TRACED {
-                let lo = d.u64_le()?;
-                let hi = d.u64_le()?;
-                let span_id = d.u64_le()?;
-                let flags = d.byte()?;
-                let start_us = d.varint()?;
-                let attempt_at = d.pos;
-                let attempt = d.varint()?;
-                let attempt = u32::try_from(attempt).map_err(|_| DecodeError {
-                    offset: attempt_at,
-                    detail: format!("attempt {attempt} > u32::MAX"),
-                })?;
-                ctx = Some(TraceContext {
-                    trace_id: ((hi as u128) << 64) | lo as u128,
-                    span_id,
-                    flags,
-                    start_us,
-                    attempt,
-                });
-                op = d.byte()?;
-            }
-            let route = match op {
-                OP_GPS | OP_GPS_RUN | OP_CHECKIN | OP_USER | OP_AS_OF => {
-                    RoutePeek::User(d.u32_field("user id")?)
-                }
-                OP_HELLO | OP_WINDOW | OP_STATS | OP_FINISH | OP_DRAIN | OP_TRACES => {
-                    RoutePeek::Broadcast
-                }
-                OP_METRICS | OP_METRICS_HISTORY | OP_SHUTDOWN => RoutePeek::Control,
-                other => {
-                    return Err(DecodeError {
-                        offset: d.pos - 1,
-                        detail: format!("unknown request opcode 0x{other:02X}"),
-                    })
-                }
-            };
-            Ok((route, ctx))
-        }
-        WireFormat::Json => {
-            let (req, _, ctx) = decode_request_traced(payload)?;
-            Ok((route_of(&req), ctx))
-        }
+pub fn peek_route(payload: &[u8]) -> Result<(RoutePeek, Option<TraceContext>), CodecError> {
+    if detect(payload) == WireFormat::Json {
+        let (req, _, ctx) = decode_request_traced(payload)?;
+        return Ok((route_of(&req), ctx));
     }
+    let (mut r, ctx) = open_request(payload)?;
+    let route = match r.byte()? {
+        OP_GPS | OP_GPS_RUN | OP_CHECKIN | OP_USER | OP_AS_OF => RoutePeek::User(r.u32("user id")?),
+        OP_HELLO | OP_WINDOW | OP_STATS | OP_FINISH | OP_DRAIN | OP_TRACES => RoutePeek::Broadcast,
+        OP_METRICS | OP_METRICS_HISTORY | OP_SHUTDOWN => RoutePeek::Control,
+        other => return Err(bad(r.pos() - 1, format!("unknown request opcode 0x{other:02X}"))),
+    };
+    Ok((route, ctx))
 }
 
-/// Decode a binary request payload (first byte must be an opcode).
-pub fn decode_request_binary(payload: &[u8]) -> Result<Request, DecodeError> {
-    let mut d = Decoder::new(payload);
-    let op = d.byte()?;
-    let req = match op {
-        OP_HELLO => Request::Hello { origin_lat: d.f64()?, origin_lon: d.f64()? },
+/// Decode the request at `r` (opcode first); it must end the payload.
+fn read_request(r: &mut Reader<'_>) -> Result<Request, CodecError> {
+    let req = match r.byte()? {
+        OP_HELLO => Request::Hello { origin_lat: r.f64()?, origin_lon: r.f64()? },
         OP_GPS => Request::Gps {
-            user: d.u32_field("user id")?,
-            seq: d.varint()?,
-            t: d.zigzag()?,
-            lat: d.f64()?,
-            lon: d.f64()?,
+            user: r.u32("user id")?,
+            seq: r.varint()?,
+            t: r.zigzag()?,
+            lat: r.f64()?,
+            lon: r.f64()?,
         },
         OP_GPS_RUN => {
-            let user = d.u32_field("user id")?;
-            let first_seq = d.varint()?;
-            let count = d.varint()?;
+            let user = r.u32("user id")?;
+            let first_seq = r.varint()?;
+            let count = r.varint()?;
             if count > MAX_RUN_LEN as u64 {
-                return d.err(format!("run length {count} exceeds the {MAX_RUN_LEN}-fix cap"));
+                return Err(bad(
+                    r.pos(),
+                    format!("run length {count} exceeds the {MAX_RUN_LEN}-fix cap"),
+                ));
             }
             let mut fixes: Vec<WireFix> = Vec::new();
             for _ in 0..count {
                 let fix = match fixes.last() {
-                    None => WireFix { t: d.zigzag()?, lat: d.f64()?, lon: d.f64()? },
+                    None => WireFix { t: r.zigzag()?, lat: r.f64()?, lon: r.f64()? },
                     Some(p) => WireFix {
-                        t: p.t + d.zigzag()?,
-                        lat: f64::from_bits(p.lat.to_bits() ^ d.varint()?),
-                        lon: f64::from_bits(p.lon.to_bits() ^ d.varint()?),
+                        t: p.t + r.zigzag()?,
+                        lat: f64::from_bits(p.lat.to_bits() ^ r.varint()?),
+                        lon: f64::from_bits(p.lon.to_bits() ^ r.varint()?),
                     },
                 };
                 fixes.push(fix);
@@ -577,96 +437,73 @@ pub fn decode_request_binary(payload: &[u8]) -> Result<Request, DecodeError> {
             Request::GpsRun { user, first_seq, fixes }
         }
         OP_CHECKIN => Request::Checkin {
-            user: d.u32_field("user id")?,
-            seq: d.varint()?,
-            t: d.zigzag()?,
-            poi: d.u32_field("poi id")?,
-            lat: d.f64()?,
-            lon: d.f64()?,
+            user: r.u32("user id")?,
+            seq: r.varint()?,
+            t: r.zigzag()?,
+            poi: r.u32("poi id")?,
+            lat: r.f64()?,
+            lon: r.f64()?,
         },
-        OP_USER => Request::User { user: d.u32_field("user id")? },
-        OP_AS_OF => Request::AsOf { user: d.u32_field("user id")?, t: d.zigzag()? },
+        OP_USER => Request::User { user: r.u32("user id")? },
+        OP_AS_OF => Request::AsOf { user: r.u32("user id")?, t: r.zigzag()? },
         OP_WINDOW => {
-            let count = d.varint()?;
+            let count = r.varint()?;
             // Each cohort member costs at least one payload byte; a count
             // claiming more is corrupt, not big.
-            if count > payload.len() as u64 {
-                return d.err(format!(
-                    "cohort of {count} users cannot fit a {}-byte payload",
-                    payload.len()
+            if count > r.remaining() as u64 {
+                return Err(bad(
+                    r.pos(),
+                    format!("cohort of {count} users cannot fit {} bytes", r.remaining()),
                 ));
             }
             let mut cohort = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                cohort.push(d.u32_field("user id")?);
+                cohort.push(r.u32("user id")?);
             }
-            Request::Window { cohort, t0: d.zigzag()?, t1: d.zigzag()? }
+            Request::Window { cohort, t0: r.zigzag()?, t1: r.zigzag()? }
         }
         OP_TRACES => {
-            let filter = d.byte()?;
+            let filter = r.byte()?;
             if filter > 3 {
-                return Err(DecodeError {
-                    offset: d.pos - 1,
-                    detail: format!("traces filter flags must be 0..=3, got {filter}"),
-                });
+                return Err(bad(
+                    r.pos() - 1,
+                    format!("traces filter flags must be 0..=3, got {filter}"),
+                ));
             }
-            let trace_id = if filter & 1 != 0 {
-                let lo = d.u64_le()?;
-                let hi = d.u64_le()?;
-                Some(trace_hex(((hi as u128) << 64) | lo as u128))
-            } else {
-                None
-            };
-            let slowest = d.varint()? as usize;
-            let path = if filter & 2 != 0 {
-                let len = d.varint()? as usize;
-                if d.pos + len > payload.len() {
-                    return d.err(format!("path filter of {len} bytes overruns the payload"));
-                }
-                let bytes = &payload[d.pos..d.pos + len];
-                let p = std::str::from_utf8(bytes)
-                    .map_err(|e| DecodeError {
-                        offset: d.pos + e.valid_up_to(),
-                        detail: "path filter is not UTF-8".into(),
-                    })?
-                    .to_string();
-                d.pos += len;
-                Some(p)
-            } else {
-                None
-            };
+            let trace_id = if filter & 1 != 0 { Some(trace_hex(read_trace_id(r)?)) } else { None };
+            let slowest = r.varint()? as usize;
+            let path = if filter & 2 != 0 { Some(r.str("path filter")?.to_string()) } else { None };
             Request::Traces { trace_id, slowest, path }
         }
-        OP_METRICS_HISTORY => Request::MetricsHistory { last: d.varint()? as usize },
+        OP_METRICS_HISTORY => Request::MetricsHistory { last: r.varint()? as usize },
         OP_STATS => Request::Stats,
         OP_METRICS => Request::Metrics,
         OP_FINISH => Request::Finish,
-        OP_DRAIN => {
-            let flag = d.byte()?;
-            if flag > 1 {
-                return Err(DecodeError {
-                    offset: d.pos - 1,
-                    detail: format!("drain finalize flag must be 0|1, got {flag}"),
-                });
+        OP_DRAIN => match r.byte()? {
+            flag @ (0 | 1) => Request::Drain { finalize: flag == 1 },
+            flag => {
+                return Err(bad(
+                    r.pos() - 1,
+                    format!("drain finalize flag must be 0|1, got {flag}"),
+                ))
             }
-            Request::Drain { finalize: flag == 1 }
-        }
+        },
         OP_SHUTDOWN => Request::Shutdown,
-        other => {
-            return Err(DecodeError {
-                offset: 0,
-                detail: format!("unknown request opcode 0x{other:02X}"),
-            })
-        }
+        other => return Err(bad(r.pos() - 1, format!("unknown request opcode 0x{other:02X}"))),
     };
-    d.finish()?;
+    r.finish()?;
     Ok(req)
+}
+
+/// Decode a binary request payload (first byte must be an opcode).
+pub fn decode_request_binary(payload: &[u8]) -> Result<Request, CodecError> {
+    read_request(&mut Reader::new(payload))
 }
 
 /// Decode a request payload of either format, dispatching on the tag.
 /// Traced frames are accepted and their context discarded; the server
 /// decodes with [`decode_request_traced`] to keep it.
-pub fn decode_request(payload: &[u8]) -> Result<(Request, WireFormat), DecodeError> {
+pub fn decode_request(payload: &[u8]) -> Result<(Request, WireFormat), CodecError> {
     decode_request_traced(payload).map(|(req, wire, _)| (req, wire))
 }
 
@@ -700,11 +537,9 @@ fn ctx_to_json(ctx: &TraceContext) -> JsonTraceCtx {
     }
 }
 
-fn ctx_from_json(ctx: &JsonTraceCtx) -> Result<TraceContext, DecodeError> {
-    let trace_id = parse_trace_id(&ctx.trace).ok_or_else(|| DecodeError {
-        offset: 0,
-        detail: format!("trace id `{}` is not 1..=32 hex digits", ctx.trace),
-    })?;
+fn ctx_from_json(ctx: &JsonTraceCtx) -> Result<TraceContext, CodecError> {
+    let trace_id = parse_trace_id(&ctx.trace)
+        .ok_or_else(|| bad(0, format!("trace id `{}` is not 1..=32 hex digits", ctx.trace)))?;
     Ok(TraceContext {
         trace_id,
         span_id: ctx.span,
@@ -727,13 +562,7 @@ pub fn encode_traced_payload(
 ) -> io::Result<()> {
     match wire {
         WireFormat::Binary => {
-            out.push(OP_TRACED);
-            out.extend_from_slice(&(ctx.trace_id as u64).to_le_bytes());
-            out.extend_from_slice(&((ctx.trace_id >> 64) as u64).to_le_bytes());
-            out.extend_from_slice(&ctx.span_id.to_le_bytes());
-            out.push(ctx.flags);
-            put_varint(out, ctx.start_us);
-            put_varint(out, ctx.attempt as u64);
+            put_trace_envelope(out, ctx);
             encode_request_payload(out, req);
             Ok(())
         }
@@ -759,43 +588,12 @@ pub fn encode_traced_payload(
 /// decode exactly as before with `None` for the context.
 pub fn decode_request_traced(
     payload: &[u8],
-) -> Result<(Request, WireFormat, Option<TraceContext>), DecodeError> {
+) -> Result<(Request, WireFormat, Option<TraceContext>), CodecError> {
     match detect(payload) {
-        WireFormat::Binary if payload.first() == Some(&OP_TRACED) => {
-            let mut d = Decoder::new(payload);
-            d.byte()?; // OP_TRACED
-            let lo = d.u64_le()?;
-            let hi = d.u64_le()?;
-            let span_id = d.u64_le()?;
-            let flags = d.byte()?;
-            let start_us = d.varint()?;
-            let attempt_at = d.pos;
-            let attempt = d.varint()?;
-            let attempt = u32::try_from(attempt).map_err(|_| DecodeError {
-                offset: attempt_at,
-                detail: format!("attempt {attempt} > u32::MAX"),
-            })?;
-            let ctx = TraceContext {
-                trace_id: ((hi as u128) << 64) | lo as u128,
-                span_id,
-                flags,
-                start_us,
-                attempt,
-            };
-            let inner_at = d.pos;
-            if inner_at >= payload.len() {
-                return Err(DecodeError {
-                    offset: inner_at,
-                    detail: "trace envelope wraps an empty request".into(),
-                });
-            }
-            let req = decode_request_binary(&payload[inner_at..]).map_err(|mut e| {
-                e.offset += inner_at;
-                e
-            })?;
-            Ok((req, WireFormat::Binary, Some(ctx)))
+        WireFormat::Binary => {
+            let (mut r, ctx) = open_request(payload)?;
+            Ok((read_request(&mut r)?, WireFormat::Binary, ctx))
         }
-        WireFormat::Binary => decode_request_binary(payload).map(|r| (r, WireFormat::Binary, None)),
         WireFormat::Json if payload.starts_with(JSON_CTX_PREFIX) => {
             let traced: JsonTraced = decode_json(payload)?;
             let ctx = ctx_from_json(&traced.ctx)?;
@@ -818,44 +616,62 @@ pub fn encode_traced_request_frame(
 }
 
 /// Decode a JSON payload with structured (offset-carrying) errors.
-fn decode_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, DecodeError> {
-    let text = std::str::from_utf8(payload).map_err(|e| DecodeError {
-        offset: e.valid_up_to(),
-        detail: "payload is not UTF-8".into(),
-    })?;
-    serde_json::from_str(text).map_err(|e| DecodeError {
-        // The vendored serde_json reports "... at byte N" in its message;
-        // keep the whole message and anchor the structured offset at the
-        // payload start (the parser's own offset is inside the text).
-        offset: 0,
-        detail: format!("JSON: {e}"),
-    })
+fn decode_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, CodecError> {
+    let text =
+        std::str::from_utf8(payload).map_err(|e| bad(e.valid_up_to(), "payload is not UTF-8"))?;
+    // The vendored serde_json reports "... at byte N" in its message; keep
+    // the whole message and anchor the structured offset at the payload
+    // start (the parser's own offset is inside the text).
+    serde_json::from_str(text).map_err(|e| bad(0, format!("JSON: {e}")))
 }
 
 // ---------------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------------
 
-fn verdict_kind_code(kind: VerdictKind) -> u8 {
-    match kind {
+/// Append one [`AuditVerdict`] record. `Verdicts` responses and shard
+/// snapshots share this layout; [`read_verdict`] is its only decoder.
+pub(crate) fn put_verdict(out: &mut Vec<u8>, v: &AuditVerdict) {
+    put_varint(out, v.user as u64);
+    put_varint(out, v.checkin_index as u64);
+    put_zigzag(out, v.t);
+    out.push(match v.kind {
         VerdictKind::Honest => 0,
         VerdictKind::Superfluous => 1,
         VerdictKind::Remote => 2,
         VerdictKind::Driveby => 3,
         VerdictKind::Unclassified => 4,
-    }
+    });
+    put_varint(out, v.visit_index.map_or(0, |i| i as u64 + 1));
+    put_f64(out, v.distance_m);
+    put_zigzag(out, v.dt_s);
 }
 
-fn verdict_kind_from(code: u8, at: usize) -> Result<VerdictKind, DecodeError> {
-    Ok(match code {
+/// Decode one [`put_verdict`] record.
+pub(crate) fn read_verdict(r: &mut Reader<'_>) -> Result<AuditVerdict, CodecError> {
+    let user = r.u32("user id")?;
+    let checkin_index = r.varint()? as usize;
+    let t = r.zigzag()?;
+    let kind = match r.byte()? {
         0 => VerdictKind::Honest,
         1 => VerdictKind::Superfluous,
         2 => VerdictKind::Remote,
         3 => VerdictKind::Driveby,
         4 => VerdictKind::Unclassified,
-        other => {
-            return Err(DecodeError { offset: at, detail: format!("unknown verdict kind {other}") })
-        }
+        other => return Err(bad(r.pos() - 1, format!("unknown verdict kind {other}"))),
+    };
+    let visit_index = match r.varint()? {
+        0 => None,
+        i => Some(i as usize - 1),
+    };
+    Ok(AuditVerdict {
+        user,
+        checkin_index,
+        t,
+        kind,
+        visit_index,
+        distance_m: r.f64()?,
+        dt_s: r.zigzag()?,
     })
 }
 
@@ -875,92 +691,47 @@ pub fn encode_response_payload(out: &mut Vec<u8>, resp: &Response) {
             out.push(OP_VERDICTS);
             put_varint(out, verdicts.len() as u64);
             for v in verdicts {
-                put_varint(out, v.user as u64);
-                put_varint(out, v.checkin_index as u64);
-                put_zigzag(out, v.t);
-                out.push(verdict_kind_code(v.kind));
-                put_varint(out, v.visit_index.map_or(0, |i| i as u64 + 1));
-                put_f64(out, v.distance_m);
-                put_zigzag(out, v.dt_s);
+                put_verdict(out, v);
             }
         }
         Response::Error { message } => {
             out.push(OP_ERROR);
-            put_varint(out, message.len() as u64);
-            out.extend_from_slice(message.as_bytes());
+            put_bytes(out, message.as_bytes());
         }
         other => unreachable!("control-plane response {other:?} has no binary form"),
     }
 }
 
 /// Decode a binary response payload.
-pub fn decode_response_binary(payload: &[u8]) -> Result<Response, DecodeError> {
-    let mut d = Decoder::new(payload);
-    let op = d.byte()?;
-    let resp = match op {
+pub fn decode_response_binary(payload: &[u8]) -> Result<Response, CodecError> {
+    let mut r = Reader::new(payload);
+    let resp = match r.byte()? {
         OP_OK => Response::Ok,
         OP_VERDICTS => {
-            let count = d.varint()?;
-            // A verdict is at least 14 bytes; anything claiming more than
-            // the payload could hold is corrupt, not big.
-            let ceiling = payload.len() as u64 / 14 + 1;
-            if count > ceiling {
-                return d.err(format!(
-                    "verdict count {count} cannot fit a {}-byte payload",
-                    payload.len()
+            let count = r.varint()?;
+            // A verdict is at least 14 bytes; a count claiming more than
+            // the rest of the payload could hold is corrupt, not big.
+            if count > r.remaining() as u64 / 14 {
+                return Err(bad(
+                    r.pos(),
+                    format!("verdict count {count} cannot fit {} bytes", r.remaining()),
                 ));
             }
             let mut verdicts = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let user = d.u32_field("user id")?;
-                let checkin_index = d.varint()? as usize;
-                let t = d.zigzag()?;
-                let kind_at = d.pos;
-                let kind = verdict_kind_from(d.byte()?, kind_at)?;
-                let visit = d.varint()?;
-                let visit_index = if visit == 0 { None } else { Some(visit as usize - 1) };
-                let distance_m = f64::from_bits(d.f64_bits()?);
-                let dt_s = d.zigzag()?;
-                verdicts.push(AuditVerdict {
-                    user,
-                    checkin_index,
-                    t,
-                    kind,
-                    visit_index,
-                    distance_m,
-                    dt_s,
-                });
+                verdicts.push(read_verdict(&mut r)?);
             }
             Response::Verdicts { verdicts }
         }
-        OP_ERROR => {
-            let len = d.varint()? as usize;
-            if d.pos + len > payload.len() {
-                return d.err(format!("error message of {len} bytes overruns the payload"));
-            }
-            let bytes = &payload[d.pos..d.pos + len];
-            let message = std::str::from_utf8(bytes)
-                .map_err(|e| DecodeError {
-                    offset: d.pos + e.valid_up_to(),
-                    detail: "error message is not UTF-8".into(),
-                })?
-                .to_string();
-            d.pos += len;
-            Response::Error { message }
-        }
-        other => {
-            return Err(DecodeError {
-                offset: 0,
-                detail: format!("unknown response opcode 0x{other:02X}"),
-            })
-        }
+        OP_ERROR => Response::Error { message: r.str("error message")?.to_string() },
+        other => return Err(bad(0, format!("unknown response opcode 0x{other:02X}"))),
     };
-    d.finish()?;
+    r.finish()?;
     Ok(resp)
 }
 
 /// Decode a response payload of either format, dispatching on the tag.
-pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
+pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
     match detect(payload) {
         WireFormat::Binary => decode_response_binary(payload),
         WireFormat::Json => decode_json(payload),
@@ -1020,7 +791,8 @@ fn frame_payload(
     Ok(())
 }
 
-fn frame_json<T: serde::Serialize>(out: &mut Vec<u8>, msg: &T) -> io::Result<()> {
+/// Append one JSON frame (length prefix + JSON payload).
+pub(crate) fn frame_json<T: serde::Serialize>(out: &mut Vec<u8>, msg: &T) -> io::Result<()> {
     let json = serde_json::to_string(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))?;
     frame_payload(out, |buf| {
@@ -1037,27 +809,6 @@ mod tests {
         let mut payload = Vec::new();
         encode_request_payload(&mut payload, req);
         decode_request_binary(&payload).expect("binary request decodes")
-    }
-
-    #[test]
-    fn varint_edges_roundtrip() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut d = Decoder::new(&buf);
-            assert_eq!(d.varint().expect("decodes"), v);
-            assert!(d.finish().is_ok());
-        }
-    }
-
-    #[test]
-    fn zigzag_edges_roundtrip() {
-        for v in [0i64, 1, -1, 60, -60, i64::MAX, i64::MIN] {
-            let mut buf = Vec::new();
-            put_zigzag(&mut buf, v);
-            let mut d = Decoder::new(&buf);
-            assert_eq!(d.zigzag().expect("decodes"), v);
-        }
     }
 
     #[test]
@@ -1258,13 +1009,8 @@ mod tests {
     #[test]
     fn empty_trace_envelope_is_rejected() {
         let ctx = TraceContext { trace_id: 1, span_id: 1, flags: 0, start_us: 0, attempt: 0 };
-        let mut payload = vec![OP_TRACED];
-        payload.extend_from_slice(&(ctx.trace_id as u64).to_le_bytes());
-        payload.extend_from_slice(&((ctx.trace_id >> 64) as u64).to_le_bytes());
-        payload.extend_from_slice(&ctx.span_id.to_le_bytes());
-        payload.push(ctx.flags);
-        put_varint(&mut payload, ctx.start_us);
-        put_varint(&mut payload, ctx.attempt as u64);
+        let mut payload = Vec::new();
+        put_trace_envelope(&mut payload, &ctx);
         let e = decode_request_traced(&payload).expect_err("empty envelope");
         assert!(e.detail.contains("empty request"), "got: {e}");
     }

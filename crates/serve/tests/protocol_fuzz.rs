@@ -440,9 +440,7 @@ fn run_length_edges() {
     );
     // The empty run's encoding ends with count=0; rewrite it.
     assert_eq!(payload.pop(), Some(0));
-    let mut count = Vec::new();
-    wire::put_varint(&mut count, MAX_RUN_LEN as u64 + 1);
-    payload.extend_from_slice(&count);
+    geosocial_store::put_varint(&mut payload, MAX_RUN_LEN as u64 + 1);
     let err = wire::decode_request_binary(&payload).expect_err("over-cap run must be rejected");
     assert!(err.detail.contains("cap"), "got: {err}");
 }

@@ -1,14 +1,11 @@
-//! Consistent-hashing properties of the cluster shard map — the routing
+//! Rendezvous-hashing properties of the cluster shard map — the routing
 //! contract the router tier rides on, proven over random topologies and
-//! random mutation sequences rather than the unit tests' fixed ones:
+//! random handoff sequences rather than the unit tests' fixed ones:
 //!
-//! * **totality** — at every map version reached by any add/retire/handoff
-//!   sequence (with at least one live entry), every user id maps to
-//!   exactly one live entry, deterministically;
-//! * **minimal movement** — an `add` moves only the users the new entry
-//!   wins, a `retire` moves only the users the retired entry owned, and a
-//!   `handoff` moves nobody. Everyone else keeps their owner across
-//!   versions.
+//! * **totality** — at every map version reached by any handoff sequence,
+//!   every user id maps to exactly one entry, deterministically;
+//! * **stability** — a handoff keeps the entry id, so it moves nobody:
+//!   every user keeps its owner across versions.
 
 use geosocial_serve::cluster::{rendezvous_weight, ShardMap};
 use proptest::prelude::*;
@@ -27,153 +24,84 @@ fn owners(map: &ShardMap, users: &[u32]) -> Vec<Option<usize>> {
     users.iter().map(|&u| map.owner(u)).collect()
 }
 
-/// One random topology mutation, decoded from a `(kind, id, port)` draw:
-/// kind 0 adds a shard, 1 retires `id`, 2 hands `id` off to a new port
-/// (unknown ids are no-ops, like any stale control request).
-fn mutate(map: &mut ShardMap, (kind, id, port): (u8, u8, u16)) {
-    match kind % 3 {
-        0 => {
-            map.add(addr(10_000 + port));
-        }
-        1 => {
-            map.retire(id as u64);
-        }
-        _ => {
-            map.handoff(id as u64, addr(20_000 + port));
-        }
-    }
+/// One random handoff, decoded from an `(id, port)` draw: hand `id` off
+/// to a new port (unknown ids are no-ops, like any stale control request).
+fn handoff(map: &mut ShardMap, (id, port): (u8, u16)) {
+    map.handoff(id as u64, addr(20_000 + port));
 }
 
-/// The `(kind, id, port)` strategy behind [`mutate`].
-fn mutation() -> impl Strategy<Value = (u8, u8, u16)> {
-    (0u8..3, 0u8..32, 0u16..5000)
+/// The `(id, port)` strategy behind [`handoff`].
+fn handoff_draw() -> impl Strategy<Value = (u8, u16)> {
+    (0u8..12, 0u16..5000)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every user maps to exactly one live entry at every version the map
-    /// passes through, whatever mutations got it there — and the owner is
+    /// Every user maps to exactly one entry at every version the map
+    /// passes through, whatever handoffs got it there — and the owner is
     /// a pure function of (map, user): recomputing from the published
     /// rendezvous weights finds the same entry.
     #[test]
-    fn every_user_has_exactly_one_live_owner_across_versions(
+    fn every_user_has_exactly_one_owner_across_versions(
         initial in 1usize..8,
-        muts in prop::collection::vec(mutation(), 0..12),
+        draws in prop::collection::vec(handoff_draw(), 0..12),
         users in prop::collection::vec(0u32..=u32::MAX, 32..33),
     ) {
         let mut map = ShardMap::new(&addrs(initial));
         let mut version = map.version();
-        // Check the invariant at version 0 and after every mutation.
-        for step in std::iter::once(None).chain(muts.iter().map(Some)) {
-            if let Some(&m) = step {
-                mutate(&mut map, m);
+        // Check the invariant at version 0 and after every handoff.
+        for step in std::iter::once(None).chain(draws.iter().map(Some)) {
+            if let Some(&d) = step {
+                handoff(&mut map, d);
                 prop_assert!(
                     map.version() >= version,
                     "version went backwards: {} -> {}", version, map.version()
                 );
                 version = map.version();
             }
-            let live: Vec<&_> = map.entries().iter().filter(|e| e.live).collect();
             for &user in &users {
-                match map.owner(user) {
-                    Some(idx) => {
-                        let e = &map.entries()[idx];
-                        prop_assert!(e.live, "owner of {user} is a retired entry");
-                        // Exactly one: the owner has the strictly-best
-                        // (weight, id) among live entries — no other live
-                        // entry ties it (ids are unique).
-                        let best = live
-                            .iter()
-                            .map(|o| (rendezvous_weight(o.id, user), u64::MAX - o.id))
-                            .max()
-                            .expect("live set non-empty when owner exists");
-                        prop_assert_eq!(
-                            best,
-                            (rendezvous_weight(e.id, user), u64::MAX - e.id),
-                            "owner disagrees with the published rendezvous weights"
-                        );
-                    }
-                    None => prop_assert!(
-                        live.is_empty(),
-                        "no owner for {user} although {} entries are live", live.len()
-                    ),
-                }
-            }
-        }
-    }
-
-    /// Adding an entry moves only the users it wins: everyone whose owner
-    /// changed is now owned by the new entry.
-    #[test]
-    fn add_moves_only_users_the_new_entry_wins(
-        initial in 1usize..8,
-        port in 0u16..5000,
-        users in prop::collection::vec(0u32..=u32::MAX, 64..65),
-    ) {
-        let mut map = ShardMap::new(&addrs(initial));
-        let before = owners(&map, &users);
-        let new_idx = map.add(addr(10_000 + port));
-        for (&user, &was) in users.iter().zip(&before) {
-            let now = map.owner(user);
-            if now != was {
+                let idx = map.owner(user).expect("a non-empty map owns every user");
+                let e = &map.entries()[idx];
+                // Exactly one: the owner has the strictly-best (weight, id)
+                // among all entries — no other entry ties it (ids are
+                // unique).
+                let best = map
+                    .entries()
+                    .iter()
+                    .map(|o| (rendezvous_weight(o.id, user), u64::MAX - o.id))
+                    .max()
+                    .expect("non-empty map");
                 prop_assert_eq!(
-                    now,
-                    Some(new_idx),
-                    "user {} moved to an old entry on add", user
+                    best,
+                    (rendezvous_weight(e.id, user), u64::MAX - e.id),
+                    "owner disagrees with the published rendezvous weights"
                 );
             }
         }
     }
 
-    /// Retiring an entry moves exactly the users it owned; nobody else
-    /// changes owner.
-    #[test]
-    fn retire_moves_only_the_retired_entrys_users(
-        initial in 2usize..8,
-        id_pick in 0usize..8,
-        users in prop::collection::vec(0u32..=u32::MAX, 64..65),
-    ) {
-        let mut map = ShardMap::new(&addrs(initial));
-        let id = (id_pick % initial) as u64;
-        let retired_idx = map
-            .entries()
-            .iter()
-            .position(|e| e.id == id)
-            .expect("fresh map has all ids");
-        let before = owners(&map, &users);
-        prop_assert!(map.retire(id));
-        for (&user, &was) in users.iter().zip(&before) {
-            let now = map.owner(user);
-            if was == Some(retired_idx) {
-                prop_assert!(now != was, "user {} still routed to the retired entry", user);
-            } else {
-                prop_assert_eq!(now, was, "user {} moved although its owner stayed live", user);
-            }
-        }
-    }
-
-    /// A handoff (same id, new address) moves no user at all, at any
-    /// topology — the property that makes process replacement invisible
-    /// to routing.
+    /// A handoff (same id, new address) moves no user at all, after any
+    /// earlier handoffs — the property that makes process replacement
+    /// invisible to routing.
     #[test]
     fn handoff_never_moves_a_user(
         initial in 1usize..8,
-        muts in prop::collection::vec(mutation(), 0..6),
+        draws in prop::collection::vec(handoff_draw(), 0..6),
         id_pick in 0usize..8,
         port in 0u16..5000,
         users in prop::collection::vec(0u32..=u32::MAX, 64..65),
     ) {
         let mut map = ShardMap::new(&addrs(initial));
-        for m in muts {
-            mutate(&mut map, m);
+        let original = owners(&map, &users);
+        for d in draws {
+            handoff(&mut map, d);
         }
-        let ids: Vec<u64> = map.entries().iter().map(|e| e.id).collect();
-        let id = ids[id_pick % ids.len()];
-        let before = owners(&map, &users);
+        prop_assert_eq!(owners(&map, &users), original.clone(), "a handoff sequence moved a user");
+        let id = map.entries()[id_pick % initial].id;
         let version = map.version();
         prop_assert!(map.handoff(id, addr(30_000 + port)).is_some());
         prop_assert!(map.version() > version, "handoff must bump the map version");
-        prop_assert_eq!(owners(&map, &users), before, "a handoff moved a user");
+        prop_assert_eq!(owners(&map, &users), original, "a handoff moved a user");
     }
 }

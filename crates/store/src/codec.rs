@@ -1,8 +1,9 @@
-//! Byte-level primitives shared by the segment log and the snapshot files:
-//! LEB128 varints, zigzag signed integers, raw f64 bits, and the CRC-32
-//! (IEEE) checksum that guards every record. The integer wire forms are
-//! identical to `geosocial-serve`'s binary wire codec, so a stored record
-//! body can embed a wire frame payload without re-encoding anything.
+//! The workspace's one binary codec: LEB128 varints, zigzag signed
+//! integers, raw f64 bits, length-prefixed bytes and strings, plus the
+//! CRC-32 (IEEE) checksum that guards every record. The segment log, the
+//! serve crate's shard snapshots and its binary wire frames all encode
+//! with the `put_*` functions and decode through [`Reader`], so a byte
+//! layout means the same thing on the wire and on disk.
 
 /// Structured decode failure: the byte offset where decoding stopped plus
 /// what was expected there. Offsets are relative to the buffer handed to
@@ -23,7 +24,14 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<CodecError> for std::io::Error {
+    fn from(e: CodecError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
 /// Append `v` as an LEB128 varint (1–10 bytes).
+#[inline]
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
@@ -37,11 +45,13 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Append `v` zigzag-mapped (small magnitudes stay small, either sign).
+#[inline]
 pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Append `v`'s IEEE-754 bits, little-endian (lossless, 8 bytes).
+#[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
@@ -61,16 +71,19 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Decode from the start of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
 
     /// Current decode offset.
+    #[inline]
     pub fn pos(&self) -> usize {
         self.pos
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -80,6 +93,7 @@ impl<'a> Reader<'a> {
     }
 
     /// One raw byte.
+    #[inline]
     pub fn byte(&mut self) -> Result<u8, CodecError> {
         match self.bytes.get(self.pos) {
             Some(&b) => {
@@ -91,6 +105,7 @@ impl<'a> Reader<'a> {
     }
 
     /// An LEB128 varint (≤ 10 bytes, no u64 overflow).
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, CodecError> {
         let start = self.pos;
         let mut v = 0u64;
@@ -114,22 +129,37 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A varint that must fit a `u32`; `what` names the field in errors.
+    #[inline]
+    pub fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
+        let start = self.pos;
+        let v = self.varint()?;
+        u32::try_from(v).or_else(|_| self.err(start, format!("{what} {v} > u32::MAX")))
+    }
+
     /// A zigzag-mapped signed integer.
+    #[inline]
     pub fn zigzag(&mut self) -> Result<i64, CodecError> {
         let v = self.varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
 
-    /// Eight little-endian bytes as an f64.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        let start = self.pos;
+    /// Eight little-endian bytes as a u64 (fixed width, not a varint).
+    #[inline]
+    pub fn u64_le(&mut self) -> Result<u64, CodecError> {
         match self.bytes.get(self.pos..self.pos + 8) {
             Some(raw) => {
                 self.pos += 8;
-                Ok(f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes"))))
+                Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
             }
-            None => self.err(start, "truncated f64"),
+            None => self.err(self.pos, "truncated 8-byte field"),
         }
+    }
+
+    /// Eight little-endian bytes as an f64.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
+        self.u64_le().map(f64::from_bits)
     }
 
     /// A length-prefixed byte slice, bounded by what remains.
@@ -142,6 +172,14 @@ impl<'a> Reader<'a> {
         let out = &self.bytes[self.pos..self.pos + len];
         self.pos += len;
         Ok(out)
+    }
+
+    /// A length-prefixed UTF-8 string; `what` names the field in errors.
+    pub fn str(&mut self, what: &str) -> Result<&'a str, CodecError> {
+        let raw = self.bytes()?;
+        let at = self.pos - raw.len();
+        std::str::from_utf8(raw)
+            .or_else(|e| self.err(at + e.valid_up_to(), format!("{what} is not UTF-8")))
     }
 
     /// Assert the input is fully consumed.
@@ -190,7 +228,7 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+        for v in [0u64, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             let mut r = Reader::new(&buf);
@@ -201,7 +239,7 @@ mod tests {
 
     #[test]
     fn zigzag_roundtrip() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
+        for v in [0i64, 1, -1, 60, -60, 63, -64, i64::MAX, i64::MIN] {
             let mut buf = Vec::new();
             put_zigzag(&mut buf, v);
             assert_eq!(Reader::new(&buf).zigzag().unwrap(), v);
@@ -232,6 +270,42 @@ mod tests {
     fn crc32_known_vector() {
         // The classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn u32_rejects_wider_varints_at_the_field_start() {
+        let mut buf = vec![0xAA];
+        put_varint(&mut buf, u32::MAX as u64);
+        put_varint(&mut buf, u32::MAX as u64 + 1);
+        let mut r = Reader::new(&buf);
+        r.byte().unwrap();
+        assert_eq!(r.u32("user id").unwrap(), u32::MAX);
+        let at = r.pos();
+        let e = r.u32("user id").unwrap_err();
+        assert_eq!(e.offset, at);
+        assert!(e.detail.contains("user id"), "got: {e}");
+    }
+
+    #[test]
+    fn u64_le_is_fixed_width() {
+        let mut buf = 0x0102_0304_0506_0708u64.to_le_bytes().to_vec();
+        buf.push(9);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u64_le().unwrap(), 0x0102_0304_0506_0708);
+        assert_eq!(r.remaining(), 1);
+        assert_eq!(r.u64_le().unwrap_err().offset, 8);
+    }
+
+    #[test]
+    fn str_checks_utf8_and_points_at_the_bad_byte() {
+        let mut buf = Vec::new();
+        put_bytes(&mut buf, "serve.apply".as_bytes());
+        assert_eq!(Reader::new(&buf).str("path").unwrap(), "serve.apply");
+        let mut bad = Vec::new();
+        put_bytes(&mut bad, &[b'o', b'k', 0xFF]);
+        let e = Reader::new(&bad).str("path").unwrap_err();
+        assert_eq!(e.offset, 3);
+        assert!(e.detail.contains("path"), "got: {e}");
     }
 
     #[test]

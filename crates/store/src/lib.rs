@@ -9,9 +9,9 @@
 //!
 //! Layering:
 //!
-//! - [`codec`] — varint/zigzag/f64 primitives and CRC-32, byte-compatible
-//!   with the serve crate's binary wire codec so wire frame payloads embed
-//!   into records without re-encoding.
+//! - [`codec`] — the workspace's one binary codec (varint/zigzag/f64,
+//!   length-prefixed bytes and strings, the [`Reader`] cursor) and CRC-32.
+//!   The serve crate's wire frames and shard snapshots encode with it too.
 //! - [`segment`] — record framing and the scan-truncate recovery rule:
 //!   arbitrary corruption never panics, scans stop at the last valid
 //!   record boundary with a structured offset-carrying [`TornTail`].

@@ -2,12 +2,19 @@
 //! `late_dropped` counters and the exported `stream.late_dropped` metric.
 //!
 //! This lives in its own integration-test binary (= its own process) so
-//! the process-global metrics registry sees *only* this file's drops,
-//! making the exported-counter equality assertion exact.
+//! the process-global metrics registry sees *only* this file's drops.
+//! The tests of one binary run in parallel, so every test that drops
+//! events holds [`METRIC`], making the exported-counter equality
+//! assertion exact.
+
+use std::sync::Mutex;
 
 use geosocial_geo::LatLon;
 use geosocial_stream::{AuditConfig, OnlineAuditor, Reorderer};
 use geosocial_trace::GpsPoint;
+
+/// Serializes this file's tests around the global `stream.late_dropped`.
+static METRIC: Mutex<()> = Mutex::new(());
 
 fn fix(t: i64) -> GpsPoint {
     GpsPoint { t, pos: LatLon::new(34.0, -119.0) }
@@ -19,6 +26,7 @@ fn fix(t: i64) -> GpsPoint {
 /// arrival order).
 #[test]
 fn event_at_release_frontier_is_accepted_not_late() {
+    let _metric = METRIC.lock().unwrap_or_else(|e| e.into_inner());
     let mut r = Reorderer::new(60);
     assert!(r.push(100, "a"));
     assert!(r.push(200, "b"));
@@ -41,6 +49,7 @@ fn event_at_release_frontier_is_accepted_not_late() {
 /// compositions) must equal the exported `stream.late_dropped` counter.
 #[test]
 fn late_drop_totals_match_exported_metric() {
+    let _metric = METRIC.lock().unwrap_or_else(|e| e.into_inner());
     let before =
         geosocial_obs::snapshot().counters.get("stream.late_dropped").copied().unwrap_or(0);
 

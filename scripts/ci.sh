@@ -31,6 +31,11 @@
 #                      adversarial) replayed end-to-end through a spawned
 #                      server with the batch-equivalence oracle on; the
 #                      full registry round-trip is gated by check.sh
+#   8c. perfbench    — build the standalone benchmark (perfbench/, its own
+#                      workspace) against the current crates and run its
+#                      small-scale served == batch smoke, so a public-API
+#                      change in crates/ that breaks the benchmark fails
+#                      here rather than in the benchmark pipeline
 #   9. bench files   — every committed BENCH_*.json must parse as JSON
 #                      (check.sh gates their contents; this catches a
 #                      half-written or hand-mangled report early)
@@ -39,12 +44,12 @@
 #
 # Usage: scripts/ci.sh [step...]   (no args = all steps)
 # Steps: fmt clippy build test chaos wire trace cluster store scenario
-#        bench check
+#        perfbench bench check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(fmt clippy build test chaos wire trace cluster store scenario bench check)
+[ ${#steps[@]} -eq 0 ] && steps=(fmt clippy build test chaos wire trace cluster store scenario perfbench bench check)
 
 want() {
     local s
@@ -247,6 +252,11 @@ if want scenario; then
             || { echo "error: scenario $family replay did not verify" >&2; exit 1; }
     done
     rm -f "$scen_out"
+fi
+
+if want perfbench; then
+    echo "==> ci: perfbench builds and its smoke passes"
+    cargo test --offline -q --manifest-path perfbench/Cargo.toml
 fi
 
 if want bench; then
