@@ -36,7 +36,6 @@ usage: geosocial-serve [options]
                      recovery replays it on restart (default: a per-process
                      temp dir removed at shutdown)
   --segment-bytes N  roll store segments after N bytes (default 4194304)
-  --index-every N    sparse-index every Nth record per segment (default 8)
   --flush-bytes N    flush the store log after N buffered bytes (default
                      65536; 0 = flush every append, so acked events survive
                      a SIGKILL — what cluster handoff under chaos relies on)
@@ -109,10 +108,6 @@ fn parse_args() -> Result<(String, ServerConfig), String> {
                 config.segment_bytes = value("--segment-bytes")?
                     .parse()
                     .map_err(|e| format!("--segment-bytes: {e}"))?;
-            }
-            "--index-every" => {
-                config.index_every =
-                    value("--index-every")?.parse().map_err(|e| format!("--index-every: {e}"))?;
             }
             "--flush-bytes" => {
                 config.flush_bytes =

@@ -230,10 +230,6 @@ pub struct ServerConfig {
     /// this size is sealed and a new one started after the next durable
     /// flush.
     pub segment_bytes: usize,
-    /// Event-store sparse-index granularity: one `(user, t)` anchor every
-    /// this many records per segment. Lower = faster historical seeks,
-    /// more index memory.
-    pub index_every: usize,
     /// Event-store flush threshold, bytes: buffered appends are written
     /// through to the active segment once they reach this size. `0`
     /// flushes every append, making each acked event durable against a
@@ -269,7 +265,6 @@ impl Default for ServerConfig {
             snapshot_every: 1024,
             store_dir: None,
             segment_bytes: 4 * 1024 * 1024,
-            index_every: 8,
             flush_bytes: geosocial_store::FLUSH_THRESHOLD,
             fault: FaultPlan::none(),
             trace_slow_us: geosocial_obs::trace::DEFAULT_SLOW_US,
@@ -858,7 +853,6 @@ fn shard_worker(
     let shard_metrics = ShardMetrics::new(shard);
     let opts = StoreOptions {
         segment_bytes: config.segment_bytes,
-        index_every: config.index_every,
         fault: config.fault.clone(),
         shard: shard as u64,
         flush_bytes: config.flush_bytes,
@@ -885,7 +879,6 @@ fn shard_worker(
     // them. Failure to open degrades to in-memory-only tracing.
     let trace_opts = StoreOptions {
         segment_bytes: config.segment_bytes,
-        index_every: config.index_every,
         fault: FaultPlan::none(),
         shard: shard as u64,
         flush_bytes: config.flush_bytes,

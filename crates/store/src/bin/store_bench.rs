@@ -3,7 +3,11 @@
 //!
 //! - append throughput (records/s and MiB/s) with background flushing,
 //! - recovery (reopen) time as a function of delta size past the snapshot,
-//! - as-of query latency against the sparse `(user, time)` index.
+//! - as-of query latency through the per-user extent index (one
+//!   positioned read per extent of the user's records), and the index's
+//!   size (`store.index.extents`; 24 B each). Round-robin appends with
+//!   more than `EXTENT_GAP` bytes of other users' records between two of
+//!   one user's give every record its own extent, the index's worst case.
 //!
 //! Usage: `geosocial-store-bench [records] [payload_bytes] [users]`
 
@@ -41,6 +45,8 @@ fn main() {
     let append_per_s = records as f64 / append_s;
     let append_mib_s = bytes as f64 / (1024.0 * 1024.0) / append_s;
     let segments = store.segment_count();
+    // Only this store is open here, so the gauge is its extent count.
+    let extents = geosocial_obs::gauge("store.index.extents").get();
 
     // --- Recovery time vs delta size -----------------------------------
     // Snapshot at increasing coverage, reopen, and time the open (scan +
@@ -96,6 +102,8 @@ fn main() {
     println!("  \"log_bytes\": {bytes},");
     println!("  \"append_per_s\": {append_per_s:.0},");
     println!("  \"append_mib_s\": {append_mib_s:.2},");
+    println!("  \"index_extents\": {extents},");
+    println!("  \"index_extents_per_record\": {:.4},", extents as f64 / records as f64);
     println!("  \"recovery\": [{}],", recovery.join(", "));
     println!("  \"asof_queries\": {queries},");
     println!("  \"asof_fetched\": {fetched},");

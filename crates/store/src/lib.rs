@@ -3,9 +3,10 @@
 //! A std-only embedded event store backing the serving layer's durability:
 //! an **append-only segment log** of CRC-framed `(user, t, payload)`
 //! records, **compacted snapshots** that bound crash-recovery replay to
-//! the delta past the last durable state, and a **sparse `(user, time)`
-//! index** answering historical reads — "this user's events as of `t`",
-//! "these users' events in `[t0, t1]`" — while ingest is still running.
+//! the delta past the last durable state, and a **per-user extent index**
+//! (byte ranges of the log holding each user's records) answering
+//! historical reads — "this user's events as of `t`", "these users' events
+//! in `[t0, t1]`" — in O(the user's records) while ingest is still running.
 //!
 //! Layering:
 //!
@@ -35,5 +36,5 @@ pub use segment::{
 };
 pub use store::{
     import_handoff, EventStore, HandoffFile, HandoffManifest, StoreOptions, StoredRecord,
-    FLUSH_THRESHOLD, HANDOFF_MANIFEST,
+    EXTENT_GAP, FLUSH_THRESHOLD, HANDOFF_MANIFEST,
 };

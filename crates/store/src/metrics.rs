@@ -25,6 +25,11 @@ cached!(
     segments, gauge, Gauge, "store.segments"
 );
 cached!(
+    /// Per-user extent-index entries across all open stores: byte ranges
+    /// of the log holding one user's records (24 B each).
+    index_extents, gauge, Gauge, "store.index.extents"
+);
+cached!(
     /// Total log bytes across all open stores — the full queryable
     /// history; segments are never deleted.
     bytes_total, gauge, Gauge, "store.bytes.total"
@@ -66,4 +71,8 @@ cached!(
 cached!(
     /// Flush latency (µs), log2 buckets.
     flush_us, histogram, Histogram, "store.latency_us.flush"
+);
+cached!(
+    /// Historical-read (`query`) latency (µs), log2 buckets.
+    query_us, histogram, Histogram, "store.latency_us.query"
 );

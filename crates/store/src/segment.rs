@@ -8,7 +8,7 @@
 //! | 4 | `crc` (u32 LE) | CRC-32 (IEEE) of the body |
 //! | `len` | body | `user` varint · `t` zigzag · opaque payload |
 //!
-//! The body's `user`/`t` prefix is what the sparse index keys on; the
+//! The body's `user`/`t` prefix is what the extent index keys on; the
 //! payload is opaque to the store (the serving layer stores binary wire
 //! frame payloads there). A scan stops at the first record that fails any
 //! check — short header, oversized or out-of-bounds length, checksum
@@ -51,6 +51,9 @@ impl std::error::Error for TornTail {}
 pub struct RecordRef<'a> {
     /// Byte offset of the record header within the segment.
     pub offset: u64,
+    /// Framed length (header + body): the next record starts at
+    /// `offset + len`.
+    pub len: u32,
     /// Indexed user id ([`SENTINEL_USER`] for control records).
     pub user: u32,
     /// Indexed event time.
@@ -119,7 +122,13 @@ pub fn scan_records<'a>(
                 });
             }
             let t = r.zigzag()?;
-            Ok(RecordRef { offset: off as u64, user: user as u32, t, payload: &body[r.pos()..] })
+            Ok(RecordRef {
+                offset: off as u64,
+                len: (8 + len) as u32,
+                user: user as u32,
+                t,
+                payload: &body[r.pos()..],
+            })
         })();
         match rec {
             Ok(rec) => {

@@ -1,5 +1,5 @@
 //! The event store: an append-only segment log with durable compacted
-//! snapshots and a sparse `(user, time)` index.
+//! snapshots and a per-user extent index.
 //!
 //! ## Model
 //!
@@ -12,6 +12,30 @@
 //! covering everything below its LSN, so reopening replays only the delta
 //! past the newest durable snapshot (O(delta), not O(history)); older
 //! snapshot files are garbage-collected.
+//!
+//! ## Historical reads
+//!
+//! An in-memory **extent index** maps each user to the byte ranges of the
+//! log that hold its records: `(t_first, segment, offset, end)`, 24 bytes
+//! each. An append extends the user's last extent when it lands in the
+//! same segment at most [`EXTENT_GAP`] bytes past that extent's end, and
+//! opens a new extent otherwise, so a batch of one user's records is one
+//! extent, and interleaved single-event traffic keeps about one extent per
+//! user per segment as long as (users interleaved) × (record bytes) stays
+//! under the gap — about 100 users of ~35 B records. [`EventStore::query`]
+//! reads only the user's extents (one positioned read each), so a read
+//! costs O(the user's records) plus at most [`EXTENT_GAP`] foreign bytes
+//! per extent, not O(the log).
+//!
+//! Wider interleaving would give every record its own extent (24 B per
+//! event), so the index also keeps a memory budget: past 16 extents a
+//! user opens a new one only while it averages at least 12 records per
+//! extent, and otherwise its last extent absorbs the gap. The index then
+//! costs at most 2 B per event plus 17 extents per user and one per
+//! segment the user touches, and a read of such a user scans the log span
+//! its records lie in, no more than every read cost before the index.
+//! The index is not persisted: `open` rebuilds it from the scan it
+//! already does.
 //!
 //! ## Durability
 //!
@@ -28,10 +52,10 @@ use crate::codec::crc32;
 use crate::metrics;
 use crate::segment::{append_record, scan_records, RecordRef, SENTINEL_USER};
 use geosocial_fault::{FaultPlan, FsFault};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -51,9 +75,6 @@ const FLUSH_RETRIES: u32 = 64;
 pub struct StoreOptions {
     /// Roll to a new segment file once the active one reaches this size.
     pub segment_bytes: usize,
-    /// Index every `index_every`-th record of each user; reads walk
-    /// forward from the nearest anchor. 1 = exact index.
-    pub index_every: usize,
     /// Fault plan consulted by the flush path (inert unless the `inject`
     /// feature chain is armed).
     pub fault: FaultPlan,
@@ -70,7 +91,6 @@ impl Default for StoreOptions {
     fn default() -> Self {
         Self {
             segment_bytes: 4 * 1024 * 1024,
-            index_every: 8,
             fault: FaultPlan::none(),
             shard: 0,
             flush_bytes: FLUSH_THRESHOLD,
@@ -111,54 +131,93 @@ struct Active {
     flushed: usize,
 }
 
-/// One sparse-index anchor: the location of a user's `k·every`-th record.
+/// Largest run of foreign bytes an extent absorbs: a user's record that
+/// starts at most this far past the end of the user's last extent (in the
+/// same segment) extends it instead of opening a new one. Reads then pay
+/// at most this many skipped bytes per extent, and interleaved one-event
+/// traffic keeps about one extent per user per segment while (users
+/// interleaved) × (record bytes) stays under the gap.
+pub const EXTENT_GAP: u64 = 4096;
+
+/// Memory budget of the index: past its first [`EXTENT_SLACK`] extents a
+/// user may open a new extent only while it holds fewer than one per
+/// `EXTENT_RECORDS` of its records; otherwise its last extent absorbs the
+/// gap too. Interleaving wider than [`EXTENT_GAP`] (one record per
+/// extent) therefore costs at most 24 B per 12 records — 2 B per event —
+/// and reads of such a user scan the log span its records lie in.
+const EXTENT_RECORDS: u64 = 12;
+/// Extents every user may open regardless of [`EXTENT_RECORDS`].
+const EXTENT_SLACK: u64 = 16;
+
+/// A byte range `[off, end)` of segment `seg` holding a run of one user's
+/// records (possibly with foreign records in between). 24 bytes.
 #[derive(Debug, Clone, Copy)]
-struct Anchor {
-    t: i64,
+struct Extent {
+    /// Time of the first record of the run.
+    t_first: i64,
     seg: u32,
     off: u32,
+    end: u32,
 }
 
-/// Sparse per-user `(time → location)` index. Anchors every `every`-th
-/// record of each user; a historical read seeks to the last anchor before
-/// the window and walks records forward, filtering by user — the classic
-/// sparse-index trade of memory for a bounded forward scan.
-#[derive(Debug)]
-struct SparseIndex {
-    every: u64,
-    counts: HashMap<u32, u64>,
-    anchors: HashMap<u32, Vec<Anchor>>,
+const _: () = assert!(std::mem::size_of::<Extent>() <= 24);
+
+/// One user's entry: applied-event count and extents in log order.
+#[derive(Debug, Default)]
+struct UserExtents {
+    applied: u64,
+    extents: Vec<Extent>,
 }
 
-impl SparseIndex {
-    fn new(every: usize) -> Self {
-        Self { every: every.max(1) as u64, counts: HashMap::new(), anchors: HashMap::new() }
-    }
+/// Per-user extent index: where each user's records lie in the log, as
+/// byte ranges. A historical read visits only those ranges: O(the user's
+/// records) plus at most [`EXTENT_GAP`] skipped bytes per extent, or, for
+/// a user held to its [`EXTENT_RECORDS`] budget, the log span its records
+/// lie in.
+#[derive(Debug, Default)]
+struct ExtentIndex {
+    users: HashMap<u32, UserExtents>,
+    /// Extents across all users (the `store.index.extents` gauge).
+    extents: u64,
+}
 
-    fn note(&mut self, user: u32, t: i64, seg: u32, off: u32) {
+impl ExtentIndex {
+    /// Record that `user`'s record at `t` occupies `[off, end)` of `seg`.
+    fn note(&mut self, user: u32, t: i64, seg: u32, off: u32, end: u32) {
         if user == SENTINEL_USER {
             return;
         }
-        let count = self.counts.entry(user).or_insert(0);
-        if (*count).is_multiple_of(self.every) {
-            self.anchors.entry(user).or_default().push(Anchor { t, seg, off });
+        let entry = self.users.entry(user).or_default();
+        let budget = EXTENT_SLACK + entry.applied / EXTENT_RECORDS;
+        let over_budget = entry.extents.len() as u64 >= budget;
+        entry.applied += 1;
+        match entry.extents.last_mut() {
+            Some(last)
+                if last.seg == seg && (over_budget || u64::from(off - last.end) <= EXTENT_GAP) =>
+            {
+                last.end = end;
+            }
+            _ => {
+                entry.extents.push(Extent { t_first: t, seg, off, end });
+                self.extents += 1;
+            }
         }
-        *count += 1;
     }
 
-    /// Anchor to start a walk for events of `user` with `t >= t0`, if the
-    /// user has any records at all.
-    fn start(&self, user: u32, t0: i64) -> Option<Anchor> {
-        let anchors = self.anchors.get(&user)?;
-        // The last anchor strictly before the window (its successors may
-        // still hold in-window records of this user); first anchor if the
-        // window starts before everything.
-        let i = anchors.partition_point(|a| a.t < t0);
-        Some(anchors[i.saturating_sub(1)])
+    /// Extents to read for events of `user` with `t >= t0`, in log order.
+    fn extents_from(&self, user: u32, t0: i64) -> &[Extent] {
+        let Some(entry) = self.users.get(&user) else {
+            return &[];
+        };
+        // The last extent starting strictly before the window (its tail
+        // may still hold in-window records); the first one if the window
+        // starts before everything.
+        let i = entry.extents.partition_point(|e| e.t_first < t0);
+        &entry.extents[i.saturating_sub(1)..]
     }
 
     fn applied(&self, user: u32) -> u64 {
-        self.counts.get(&user).copied().unwrap_or(0)
+        self.users.get(&user).map_or(0, |e| e.applied)
     }
 }
 
@@ -177,11 +236,12 @@ pub struct EventStore {
     /// append path. Segment indices are stable (segments are never
     /// deleted), so the anchor survives rolls.
     live_anchor: (usize, u64),
-    index: SparseIndex,
+    index: ExtentIndex,
     flush_ops: u64,
     /// Gauge contributions this instance currently claims (subtracted on
     /// drop so reopening a store during recovery never double-counts).
     claimed_segments: i64,
+    claimed_extents: i64,
     claimed_total: i64,
     claimed_live: i64,
 }
@@ -202,7 +262,7 @@ fn parse_numbered(name: &str, prefix: &str, ext: &str) -> Option<u64> {
 
 impl EventStore {
     /// Open (or create) the store rooted at `dir`: scan every segment in
-    /// LSN order rebuilding the sparse index, truncate a torn tail at the
+    /// LSN order rebuilding the extent index, truncate a torn tail at the
     /// last valid record boundary, and load the newest valid snapshot so
     /// callers replay only the delta past it.
     pub fn open(dir: impl Into<PathBuf>, opts: StoreOptions) -> io::Result<EventStore> {
@@ -224,7 +284,7 @@ impl EventStore {
         seg_lsns.sort_unstable();
         snap_lsns.sort_unstable();
 
-        let mut index = SparseIndex::new(opts.index_every);
+        let mut index = ExtentIndex::default();
         let mut sealed: Vec<Sealed> = Vec::new();
         let mut next_lsn = 0u64;
         let mut last_bytes: Vec<u8> = Vec::new();
@@ -238,7 +298,8 @@ impl EventStore {
             let mut bytes = fs::read(&path)?;
             let seg_idx = i as u32;
             let scan = scan_records(&bytes, |r| {
-                index.note(r.user, r.t, seg_idx, r.offset as u32);
+                let off = r.offset as u32;
+                index.note(r.user, r.t, seg_idx, off, off + r.len);
                 next_lsn += 1;
                 true
             });
@@ -248,26 +309,20 @@ impl EventStore {
                 metrics::torn_truncated().inc();
                 bytes.truncate(torn.offset as usize);
                 fs::write(&path, &bytes)?;
+                sealed.push(Sealed { first_lsn, path, bytes_len: bytes.len() as u64 });
                 last_bytes = bytes;
-                sealed.push(Sealed { first_lsn, path, bytes_len: 0 });
                 break;
             }
+            sealed.push(Sealed { first_lsn, path, bytes_len: bytes.len() as u64 });
             last_bytes = bytes;
-            sealed.push(Sealed { first_lsn, path, bytes_len: 0 });
         }
         // The last surviving segment becomes the active one.
         let active = match sealed.pop() {
-            Some(seg) => {
-                let mut file = OpenOptions::new().write(true).open(&seg.path)?;
+            Some(Sealed { first_lsn, path, .. }) => {
+                let mut file = OpenOptions::new().write(true).open(&path)?;
                 file.seek(SeekFrom::Start(last_bytes.len() as u64))?;
                 let flushed = last_bytes.len();
-                Active {
-                    first_lsn: seg.first_lsn,
-                    path: seg.path,
-                    file,
-                    bytes: last_bytes,
-                    flushed,
-                }
+                Active { first_lsn, path, file, bytes: last_bytes, flushed }
             }
             None => {
                 let path = seg_path(&dir, 0);
@@ -276,10 +331,6 @@ impl EventStore {
                 Active { first_lsn: 0, path, file, bytes: Vec::new(), flushed: 0 }
             }
         };
-        for s in &mut sealed {
-            s.bytes_len = fs::metadata(&s.path)?.len();
-        }
-
         // Newest valid snapshot at or below the log head wins; every other
         // snapshot file is garbage (stale, torn, or past the truncated
         // tail) and is collected.
@@ -311,13 +362,14 @@ impl EventStore {
             index,
             flush_ops: 0,
             claimed_segments: 0,
+            claimed_extents: 0,
             claimed_total: 0,
             claimed_live: 0,
         };
         store.live_anchor = if snapshot_lsn >= store.next_lsn {
             (store.sealed.len(), store.active.bytes.len() as u64)
         } else {
-            store.locate(snapshot_lsn).map(|(seg, off)| (seg, off as u64)).unwrap_or((0, 0))
+            store.locate(snapshot_lsn)?.map(|(seg, off)| (seg, off as u64)).unwrap_or((0, 0))
         };
         store.reclaim_gauges();
         Ok(store)
@@ -326,12 +378,15 @@ impl EventStore {
     /// Re-assert this instance's share of the process-wide gauges.
     fn reclaim_gauges(&mut self) {
         let segments = self.sealed.len() as i64 + 1;
+        let extents = self.index.extents as i64;
         let total = self.total_bytes() as i64;
         let live = self.live_bytes() as i64;
         metrics::segments().add(segments - self.claimed_segments);
+        metrics::index_extents().add(extents - self.claimed_extents);
         metrics::bytes_total().add(total - self.claimed_total);
         metrics::bytes_live().add(live - self.claimed_live);
         self.claimed_segments = segments;
+        self.claimed_extents = extents;
         self.claimed_total = total;
         self.claimed_live = live;
     }
@@ -402,8 +457,8 @@ impl EventStore {
         let lsn = self.next_lsn;
         let seg = self.sealed.len() as u32;
         let off = self.active.bytes.len() as u32;
-        append_record(&mut self.active.bytes, user, t, payload);
-        self.index.note(user, t, seg, off);
+        let len = append_record(&mut self.active.bytes, user, t, payload);
+        self.index.note(user, t, seg, off, off + len as u32);
         self.next_lsn += 1;
         metrics::appends().inc();
 
@@ -531,10 +586,11 @@ impl EventStore {
     }
 
     /// Locate `(segment, offset)` of record `lsn`, walking record frames
-    /// within its segment. `None` when `lsn` is the log head.
-    fn locate(&self, lsn: u64) -> Option<(usize, u32)> {
+    /// within its segment. `None` when `lsn` is the log head; an error when
+    /// the segment cannot be read back intact.
+    fn locate(&self, lsn: u64) -> io::Result<Option<(usize, u32)>> {
         if lsn >= self.next_lsn {
-            return None;
+            return Ok(None);
         }
         // Segment first-LSNs are strictly increasing, so the owning
         // segment is the last one starting at or below `lsn`.
@@ -548,10 +604,11 @@ impl EventStore {
         } else {
             self.active.first_lsn
         };
-        let data = self.segment_data(seg).ok()?;
+        let mut ranges = Ranges::new(self);
+        let data = ranges.read(seg, 0, self.segment_len(seg) as u32)?;
         let mut remaining = lsn - first;
         let mut found = 0u32;
-        scan_records(&data, |r| {
+        scan_records(data, |r| {
             if remaining == 0 {
                 found = r.offset as u32;
                 return false;
@@ -559,16 +616,8 @@ impl EventStore {
             remaining -= 1;
             true
         })
-        .ok()?;
-        Some((seg, found))
-    }
-
-    fn segment_data(&self, seg: usize) -> io::Result<Cow<'_, [u8]>> {
-        if seg < self.sealed.len() {
-            Ok(Cow::Owned(fs::read(&self.sealed[seg].path)?))
-        } else {
-            Ok(Cow::Borrowed(&self.active.bytes))
-        }
+        .map_err(|torn| io::Error::other(format!("segment {seg} corrupt: {torn}")))?;
+        Ok(Some((seg, found)))
     }
 
     /// Walk records from `(seg, off)` to the log head; `f` returns `false`
@@ -581,9 +630,9 @@ impl EventStore {
         mut lsn: u64,
         f: &mut impl FnMut(u64, RecordRef<'_>) -> bool,
     ) -> io::Result<()> {
+        let mut ranges = Ranges::new(self);
         while seg < self.segment_count() {
-            let data = self.segment_data(seg)?;
-            let slice = &data[off as usize..];
+            let slice = ranges.read(seg, off, self.segment_len(seg) as u32)?;
             let base = off as u64;
             let mut stop = false;
             scan_records(slice, |r| {
@@ -606,7 +655,7 @@ impl EventStore {
     /// recovery delta a caller replays on top of the snapshot state.
     pub fn replay_delta(&self) -> io::Result<Vec<StoredRecord>> {
         let mut out = Vec::new();
-        let Some((seg, off)) = self.locate(self.snapshot_lsn) else {
+        let Some((seg, off)) = self.locate(self.snapshot_lsn)? else {
             return Ok(out);
         };
         self.walk(seg, off, self.snapshot_lsn, &mut |lsn, r| {
@@ -617,33 +666,51 @@ impl EventStore {
     }
 
     /// Historical read: every record of `user` with `t ∈ [t0, t1]`, in
-    /// applied order. Seeks to the sparse-index anchor before `t0` and
-    /// walks forward; stops as soon as the user's records pass `t1`
-    /// (per-user times are non-decreasing in an in-order log).
+    /// applied order. Binary-searches the user's extents for the last one
+    /// starting before `t0`, then reads only the user's extents from
+    /// there (one positioned read each), CRC-checking every record in
+    /// them and skipping foreign ones; stops at the user's first record
+    /// past `t1`. Cost is O(the user's records), not O(the log), unless
+    /// the index's memory budget merged the user's extents across gaps
+    /// (see the module docs): then it is the log span they cover. Per-user
+    /// times must be non-decreasing for `t0 > i64::MIN` (true of an
+    /// in-order log); a `t0 = i64::MIN` read holds for any times.
     pub fn query(&self, user: u32, t0: i64, t1: i64) -> io::Result<Vec<StoredRecord>> {
+        let start = Instant::now();
         let mut out = Vec::new();
-        let Some(anchor) = self.index.start(user, t0) else {
-            return Ok(out);
-        };
-        // The anchor's LSN is unknown (only its location is kept); LSNs in
-        // the callback are relative and unused here.
-        self.walk(anchor.seg as usize, anchor.off, 0, &mut |_, r| {
-            if r.user != user {
-                return true;
+        let mut ranges = Ranges::new(self);
+        for e in self.index.extents_from(user, t0) {
+            let data = ranges.read(e.seg as usize, e.off, e.end)?;
+            let mut past = false;
+            scan_records(data, |r| {
+                if r.user != user {
+                    return true;
+                }
+                if r.t > t1 {
+                    past = true;
+                    return false;
+                }
+                if r.t >= t0 {
+                    out.push(StoredRecord {
+                        lsn: 0,
+                        user: r.user,
+                        t: r.t,
+                        payload: r.payload.to_vec(),
+                    });
+                }
+                true
+            })
+            .map_err(|torn| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("segment {} corrupt in bytes {}..{}: {torn}", e.seg, e.off, e.end),
+                )
+            })?;
+            if past {
+                break;
             }
-            if r.t > t1 {
-                return false;
-            }
-            if r.t >= t0 {
-                out.push(StoredRecord {
-                    lsn: 0,
-                    user: r.user,
-                    t: r.t,
-                    payload: r.payload.to_vec(),
-                });
-            }
-            true
-        })?;
+        }
+        metrics::query_us().observe(start.elapsed().as_micros() as u64);
         Ok(out)
     }
 
@@ -684,6 +751,42 @@ impl EventStore {
         }
         fs::write(dest.join(HANDOFF_MANIFEST), manifest.render())?;
         Ok(manifest)
+    }
+}
+
+/// Reads byte ranges of one store's log for a single walk or query:
+/// sealed segments by positioned reads through a handle opened once per
+/// segment visited (and closed with the reader, so the store holds no
+/// descriptors between reads), the active segment from its mirror.
+struct Ranges<'s> {
+    store: &'s EventStore,
+    file: Option<(usize, File)>,
+    buf: Vec<u8>,
+}
+
+impl<'s> Ranges<'s> {
+    fn new(store: &'s EventStore) -> Self {
+        Ranges { store, file: None, buf: Vec::new() }
+    }
+
+    /// Bytes `[off, end)` of segment `seg`.
+    fn read(&mut self, seg: usize, off: u32, end: u32) -> io::Result<&[u8]> {
+        let Some(s) = self.store.sealed.get(seg) else {
+            return Ok(&self.store.active.bytes[off as usize..end as usize]);
+        };
+        let context = |e: io::Error| {
+            io::Error::new(
+                e.kind(),
+                format!("segment {} bytes {off}..{end} unreadable: {e}", s.path.display()),
+            )
+        };
+        let file = match &self.file {
+            Some((open, file)) if *open == seg => file,
+            _ => &self.file.insert((seg, File::open(&s.path).map_err(context)?)).1,
+        };
+        self.buf.resize((end - off) as usize, 0);
+        file.read_exact_at(&mut self.buf, u64::from(off)).map_err(context)?;
+        Ok(&self.buf)
     }
 }
 
@@ -798,6 +901,7 @@ impl Drop for EventStore {
         // Release this instance's gauge contributions; a recovery reopen
         // re-claims them from zero.
         metrics::segments().add(-self.claimed_segments);
+        metrics::index_extents().add(-self.claimed_extents);
         metrics::bytes_total().add(-self.claimed_total);
         metrics::bytes_live().add(-self.claimed_live);
     }
@@ -841,7 +945,7 @@ mod tests {
     }
 
     fn small_opts() -> StoreOptions {
-        StoreOptions { segment_bytes: 512, index_every: 4, ..StoreOptions::default() }
+        StoreOptions { segment_bytes: 512, ..StoreOptions::default() }
     }
 
     fn fill(store: &mut EventStore, n: usize) {
@@ -1023,6 +1127,101 @@ mod tests {
         assert_eq!(all.len(), 60, "snapshots compact recovery, never the history");
         assert_eq!(all[59].t, 59);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn extent_count_follows_runs_and_round_robin() {
+        // 128 users appending 64-record runs in turn: a user's next run
+        // starts ~270 KB past its last one, so every run is one extent.
+        let dir = tmp_dir("extents-runs");
+        let mut store = EventStore::open(&dir, StoreOptions::default()).expect("open");
+        let mut runs = 0u64;
+        for round in 0..2i64 {
+            for user in 0..128u32 {
+                for i in 0..64i64 {
+                    store.append(user, round * 64 + i, &[0x5A; 23]).expect("append");
+                }
+                runs += 1;
+            }
+        }
+        assert_eq!(store.segment_count(), 1);
+        assert_eq!(store.index.extents, runs, "one extent per run");
+        assert_eq!(store.applied(5), 128);
+        store.flush().expect("flush");
+        drop(store);
+        let store = EventStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(store.index.extents, runs, "reopen rebuilds the same extents");
+        drop(store);
+        fs::remove_dir_all(&dir).ok();
+
+        // 16 users round-robin with ~33 B records: 15 foreign records
+        // (~500 B) between a user's records stay inside the gap, so each
+        // user has one extent per segment.
+        let dir = tmp_dir("extents-rr");
+        let opts = StoreOptions { segment_bytes: 16 * 1024, ..StoreOptions::default() };
+        let mut store = EventStore::open(&dir, opts.clone()).expect("open");
+        let mut i = 0i64;
+        let mut next = |store: &mut EventStore| {
+            store.append((i % 16) as u32, i, &[0xA5; 22]).expect("append");
+            i += 1;
+        };
+        while store.segment_count() < 4 {
+            next(&mut store);
+        }
+        // Two more rounds so the fresh active segment holds every user.
+        for _ in 0..32 {
+            next(&mut store);
+        }
+        assert_eq!(store.index.extents, 16 * 4, "one extent per user per segment");
+        store.flush().expect("flush");
+        drop(store);
+        let store = EventStore::open(&dir, opts).expect("reopen");
+        assert_eq!(store.index.extents, 16 * 4);
+        drop(store);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn extent_budget_caps_interleaving_wider_than_the_gap() {
+        // 64 users round-robin with 75 B records: 4.7 KB of other users'
+        // records between two of one user's, past the gap, so only the
+        // budget merges them: 16 free extents, then one per 12 records.
+        let dir = tmp_dir("extents-budget");
+        let mut store = EventStore::open(&dir, StoreOptions::default()).expect("open");
+        for i in 0..64 * 240i64 {
+            store.append((i % 64) as u32, i, &[0x3C; 64]).expect("append");
+        }
+        assert_eq!(store.segment_count(), 1);
+        let per_user = EXTENT_SLACK + 240 / EXTENT_RECORDS - 1;
+        assert_eq!(store.index.extents, 64 * per_user, "budget binds for every user");
+        let got = store.query(5, 64 * 100, 64 * 200).expect("query");
+        let want: Vec<i64> = (100..=200).map(|k| k * 64 + 5).filter(|&t| t <= 64 * 200).collect();
+        assert_eq!(got.iter().map(|r| r.t).collect::<Vec<_>>(), want);
+        assert_eq!(store.query(5, i64::MIN, i64::MAX).expect("query").len(), 240);
+        store.flush().expect("flush");
+        drop(store);
+        let store = EventStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(store.index.extents, 64 * per_user, "reopen rebuilds the same extents");
+        drop(store);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn extent_gap_boundary_is_inclusive() {
+        for (gap, want) in [(EXTENT_GAP, 1), (EXTENT_GAP + 1, 2)] {
+            let dir = tmp_dir(&format!("extents-gap-{gap}"));
+            let mut store = EventStore::open(&dir, StoreOptions::default()).expect("open");
+            store.append(7, 1, b"a").expect("append");
+            // One foreign record of exactly `gap` framed bytes: 8 header
+            // + 1 user varint + 1 time zigzag + payload.
+            store.append(8, 0, &vec![0; gap as usize - 10]).expect("append");
+            store.append(7, 2, b"b").expect("append");
+            assert_eq!(store.index.extents_from(7, i64::MIN).len(), want, "gap {gap}");
+            let got = store.query(7, i64::MIN, i64::MAX).expect("query");
+            assert_eq!(got.iter().map(|r| r.t).collect::<Vec<_>>(), vec![1, 2]);
+            drop(store);
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 #   append    — records/s and MiB/s through the buffered segment log,
 #   recovery  — reopen + delta-replay time as the snapshot covers 0, 25,
 #               50, 75 and 100% of the log (the O(delta) claim, measured),
-#   as-of     — per-user historical query latency against the sparse
-#               (user, time) index at the three-quarter point of history.
+#   as-of     — per-user historical query latency through the per-user
+#               extent index (reads only the user's byte ranges) at the
+#               three-quarter point of history.
 #
 # Usage: scripts/bench_store.sh [RECORDS] [PAYLOAD_BYTES] [USERS]
 #        (defaults: 200000 records, 64-byte payloads, 256 users)

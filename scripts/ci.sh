@@ -229,6 +229,10 @@ if want store; then
     ./target/release/geosocial-store-bench 20000 64 64 > "$store_out"
     grep -q '"append_per_s"' "$store_out" \
         || { echo "error: store bench produced no report" >&2; exit 1; }
+    grep -q '"asof_query_us"' "$store_out" \
+        || { echo "error: store bench reported no as-of latency" >&2; exit 1; }
+    grep -Eq '"asof_fetched": [1-9]' "$store_out" \
+        || { echo "error: store bench as-of reads fetched nothing" >&2; exit 1; }
     rm -f "$store_out"
 fi
 
