@@ -23,15 +23,15 @@ use crate::figures::ExperimentOutput;
 use crate::Analysis;
 use geosocial_checkin::scenario::{Scenario, ScenarioConfig};
 use geosocial_fault::{FaultPlan, ShardKill};
-use geosocial_serve::loadgen::{run as replay, shutdown_server, LoadgenConfig, RetryPolicy};
-use geosocial_serve::protocol::{read_msg, write_msg, Request, Response};
+use geosocial_serve::loadgen::{
+    control_request, run as replay, shutdown_server, LoadgenConfig, RetryPolicy,
+};
+use geosocial_serve::protocol::{Request, Response};
 use geosocial_serve::server::{spawn, ServerConfig};
 use geosocial_serve::wire::WireFormat;
 use geosocial_stream::{
     dataset_events, equivalence_report, window_compositions, AuditConfig, StreamEvent,
 };
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// Replay scale for the served checks: kept small enough that the audit
@@ -356,18 +356,6 @@ const TIMETRAVEL_DAYS: u32 = 7;
 /// The historical watermark: end of day 3 of the replay.
 const TIMETRAVEL_WATERMARK_DAYS: i64 = 3;
 
-/// One request over a fresh JSON control connection.
-fn control(addr: SocketAddr, req: &Request) -> std::io::Result<Response> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut w = BufWriter::new(stream.try_clone()?);
-    write_msg(&mut w, req)?;
-    w.flush()?;
-    let mut r = BufReader::new(stream);
-    read_msg::<Response, _>(&mut r)?
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "no response"))
-}
-
 /// The `timetravel` experiment (X13): online historical reads against the
 /// event store, checked against the batch pipeline truncated at the same
 /// watermark.
@@ -423,7 +411,7 @@ pub fn time_travel(_a: &Analysis, seed: u64) -> ExperimentOutput {
         // 1. Per-user as-of reads.
         let mut asof = Vec::with_capacity(expected.len());
         for want in &expected {
-            match control(addr, &Request::AsOf { user: want.user, t: watermark })? {
+            match control_request(addr, &Request::AsOf { user: want.user, t: watermark })? {
                 Response::AsOf { composition, .. } => asof.push(composition),
                 Response::Error { message } => {
                     return Err(std::io::Error::other(format!(
@@ -442,8 +430,10 @@ pub fn time_travel(_a: &Analysis, seed: u64) -> ExperimentOutput {
 
         // 2. One cohort-wide window broadcast.
         let cohort: Vec<u32> = expected.iter().map(|c| c.user).collect();
-        let window = match control(addr, &Request::Window { cohort, t0: i64::MIN, t1: watermark })?
-        {
+        let window = match control_request(
+            addr,
+            &Request::Window { cohort, t0: i64::MIN, t1: watermark },
+        )? {
             Response::Compositions { compositions } => compositions,
             Response::Error { message } => {
                 return Err(std::io::Error::other(format!("Window: {message}")))

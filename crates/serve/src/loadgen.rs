@@ -266,23 +266,11 @@ fn partition_events(
         match ev {
             StreamEvent::Gps { user, point } => {
                 gps += 1;
-                if run_len <= 1 {
-                    let lane = shard_of(user, lanes.len());
-                    lanes[lane].push(Request::Gps {
-                        user,
-                        seq: *seq,
-                        t: point.t,
-                        lat: point.pos.lat,
-                        lon: point.pos.lon,
-                    });
-                } else {
-                    let run =
-                        open.entry(user).or_insert_with(|| (*seq, Vec::with_capacity(run_len)));
-                    run.1.push(WireFix { t: point.t, lat: point.pos.lat, lon: point.pos.lon });
-                    if run.1.len() >= run_len {
-                        let run = open.remove(&user).expect("run just extended");
-                        flush(&mut lanes, user, run);
-                    }
+                let run = open.entry(user).or_insert_with(|| (*seq, Vec::with_capacity(run_len)));
+                run.1.push(WireFix { t: point.t, lat: point.pos.lat, lon: point.pos.lon });
+                if run.1.len() >= run_len {
+                    let run = open.remove(&user).expect("run just extended");
+                    flush(&mut lanes, user, run);
                 }
             }
             StreamEvent::Checkin { user, checkin } => {

@@ -10,8 +10,10 @@
 //! Handlers never touch auditor state: every request is routed to its
 //! shard over an `mpsc` channel together with a reply sender, keeping the
 //! request/response discipline strictly 1:1 and in order per connection.
-//! Broadcast requests (`Hello`, `Stats`, `Drain`, `Finish`) fan out to
-//! every shard and merge the replies.
+//! Routing follows [`crate::wire::route_of`], the same route classes the
+//! cluster router uses: user-addressed requests go to the user's shard,
+//! broadcasts fan out to every shard and merge their replies
+//! ([`crate::merge`]), and control requests are answered by the handler.
 //!
 //! # Robustness
 //!
@@ -70,10 +72,11 @@ use geosocial_obs::trace::{
 };
 use geosocial_obs::{counter, gauge, Counter, Gauge, Stopwatch};
 use geosocial_store::{EventStore, StoreOptions, SENTINEL_USER};
-use geosocial_stream::{AuditConfig, OnlineAuditor, StreamComposition};
+use geosocial_stream::{AuditConfig, AuditVerdict, OnlineAuditor, StreamComposition};
 use geosocial_trace::{Checkin, GpsPoint, PoiCategory, UserId, VisitConfig};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
+use std::iter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -86,7 +89,7 @@ use crate::protocol::{
     read_frame_into, DrainReport, MetricsHistoryReport, Request, Response, SeriesRate, ServerStats,
     ShardStats, TraceDump, TraceSpan, WireFix,
 };
-use crate::wire::{self, WireFormat};
+use crate::wire::{self, RoutePeek, WireFormat};
 
 /// Cached handles to the serving layer's fixed-name metric series.
 /// Per-shard series (`serve.shard.N.*`) are indexed by shard count and
@@ -302,6 +305,10 @@ struct ShardMsg {
     reply: mpsc::Sender<Response>,
 }
 
+/// A request as a shard worker sees it: every request that reaches a
+/// worker, and nothing else — metrics, shutdown and cluster control are
+/// answered by the connection handler.
+#[derive(Clone)]
 pub(crate) enum ShardCmd {
     SetOrigin { origin: LatLon },
     Gps { user: UserId, seq: u64, point: GpsPoint },
@@ -316,23 +323,23 @@ pub(crate) enum ShardCmd {
     Finish,
 }
 
-/// The shard mutation a request performs, if any. Shared by the live
-/// connection handler and crash replay: the event store logs one record
-/// per applied event, and recovery decodes each record back into a
-/// [`Request`] ([`crate::snapshot::decode_event`]) and routes it through
-/// here exactly like a fresh delivery.
-fn mutation_cmd(req: Request) -> Option<ShardCmd> {
-    match req {
+/// The shard command a request becomes, or `None` for the requests the
+/// connection handler answers itself. Shared by the live connection
+/// handler, crash replay and historical reads: the event store logs one
+/// record per applied event, and every reader decodes each record back
+/// into a [`Request`] ([`crate::snapshot::decode_event`]) and converts it
+/// here exactly like a fresh delivery. A malformed `Traces` id filters
+/// nothing here; the handler rejects it before routing.
+fn shard_cmd(req: Request) -> Option<ShardCmd> {
+    Some(match req {
         Request::Hello { origin_lat, origin_lon } => {
-            Some(ShardCmd::SetOrigin { origin: LatLon::new(origin_lat, origin_lon) })
+            ShardCmd::SetOrigin { origin: LatLon::new(origin_lat, origin_lon) }
         }
         Request::Gps { user, seq, t, lat, lon } => {
-            Some(ShardCmd::Gps { user, seq, point: GpsPoint { t, pos: LatLon::new(lat, lon) } })
+            ShardCmd::Gps { user, seq, point: GpsPoint { t, pos: LatLon::new(lat, lon) } }
         }
-        Request::GpsRun { user, first_seq, fixes } => {
-            Some(ShardCmd::GpsRun { user, first_seq, fixes })
-        }
-        Request::Checkin { user, seq, t, poi, lat, lon } => Some(ShardCmd::Checkin {
+        Request::GpsRun { user, first_seq, fixes } => ShardCmd::GpsRun { user, first_seq, fixes },
+        Request::Checkin { user, seq, t, poi, lat, lon } => ShardCmd::Checkin {
             user,
             seq,
             checkin: Checkin {
@@ -344,19 +351,48 @@ fn mutation_cmd(req: Request) -> Option<ShardCmd> {
                 location: LatLon::new(lat, lon),
                 provenance: None,
             },
-        }),
-        Request::Finish => Some(ShardCmd::Finish),
-        Request::User { .. }
-        | Request::AsOf { .. }
-        | Request::Window { .. }
-        | Request::Traces { .. }
+        },
+        Request::User { user } => ShardCmd::Query { user },
+        Request::AsOf { user, t } => ShardCmd::AsOf { user, t },
+        Request::Window { cohort, t0, t1 } => ShardCmd::Window { cohort, t0, t1 },
+        Request::Traces { trace_id, slowest, path } => ShardCmd::Traces {
+            trace_id: trace_id.as_deref().and_then(geosocial_obs::trace::parse_trace_id),
+            slowest,
+            path,
+        },
+        Request::Stats => ShardCmd::Stats,
+        Request::Drain { finalize } => ShardCmd::Drain { finalize },
+        Request::Finish => ShardCmd::Finish,
+        Request::Metrics
         | Request::MetricsHistory { .. }
-        | Request::Stats
-        | Request::Metrics
-        | Request::Drain { .. }
+        | Request::Shutdown
         | Request::ShardMap
-        | Request::Handoff { .. }
-        | Request::Shutdown => None,
+        | Request::Handoff { .. } => return None,
+    })
+}
+
+/// One ingest event inside a frame: a `Gps` frame carries one fix, a
+/// `GpsRun` several, a `Checkin` one checkin — all apply through
+/// [`ShardState::ingest`].
+enum Event {
+    Gps(GpsPoint),
+    Checkin(Checkin),
+}
+
+impl Event {
+    /// Encode the event's store record body (sequence number `seq`) into
+    /// `buf`; returns the event time the record is keyed by.
+    fn record(&self, buf: &mut Vec<u8>, seq: u64) -> i64 {
+        match self {
+            Event::Gps(p) => {
+                crate::snapshot::gps_payload(buf, seq, p.pos.lat, p.pos.lon);
+                p.t
+            }
+            Event::Checkin(c) => {
+                crate::snapshot::checkin_payload(buf, seq, c.poi, c.location.lat, c.location.lon);
+                c.t
+            }
+        }
     }
 }
 
@@ -437,12 +473,9 @@ impl ShardState {
         None
     }
 
-    /// The user's slot, allocating slab entries on first contact. Only
-    /// called after [`ShardState::gate`], so the audit config exists.
-    fn slot(&mut self, user: UserId) -> usize {
-        if let Some(&s) = self.slot_of.get(&user) {
-            return s;
-        }
+    /// Allocate slab entries for a user on first contact. Only called
+    /// after [`ShardState::gate`], so the audit config exists.
+    fn new_slot(&mut self, user: UserId) -> usize {
         let s = self.users.len();
         self.slot_of.insert(user, s);
         self.users.push(user);
@@ -464,26 +497,69 @@ impl ShardState {
         }
     }
 
-    /// The per-event sequence contract: apply `seq == next`, acknowledge
-    /// `seq < next` without re-applying (a retried delivery of an
-    /// already-applied event), reject gaps.
-    fn seq_admit(&mut self, slot: usize, seq: u64, obs: Option<&ShardMetrics>) -> Admit {
-        let next = self.next_seq[slot];
-        if seq < next {
-            self.stats.duplicates += 1;
+    /// Apply one ingest frame: `events` carry sequence numbers `first_seq`,
+    /// `first_seq + 1`, …. This is the per-event sequence contract —
+    /// events below the user's next expected sequence number are a retried
+    /// delivery (e.g. a run partially applied before a fault) and are
+    /// acknowledged without re-applying, a frame starting past it is a gap
+    /// and is rejected whole, and every remaining event applies and logs
+    /// one store record in order. A rejected frame leaves no trace: the
+    /// user's slot is only allocated once the frame is accepted.
+    fn ingest(
+        &mut self,
+        user: UserId,
+        first_seq: u64,
+        events: impl ExactSizeIterator<Item = Event>,
+        config: &ServerConfig,
+        obs: Option<&ShardMetrics>,
+        mut store: Option<&mut EventStore>,
+    ) -> Response {
+        if let Some(resp) = self.gate() {
+            return resp;
+        }
+        let known = self.slot_of.get(&user).copied();
+        let next = known.map_or(0, |s| self.next_seq[s]);
+        if first_seq > next {
+            return gap_error(user, first_seq, next);
+        }
+        let slot = known.unwrap_or_else(|| self.new_slot(user));
+        let dup = ((next - first_seq) as usize).min(events.len());
+        if dup > 0 {
+            self.stats.duplicates += dup;
             if obs.is_some() {
-                metrics::duplicates().inc();
+                metrics::duplicates().add(dup as u64);
                 // A retried delivery hit the dedup path: mark the trace
                 // (no-op without an active task, and skipped during
                 // replay where obs is None).
                 task_mark("serve.dedup", FLAG_DEDUP);
             }
-            Admit::Duplicate
-        } else if seq > next {
-            Admit::Gap(next)
-        } else {
-            Admit::Apply
         }
+        let mut buf = Vec::new();
+        for (seq, event) in (first_seq..).zip(events).skip(dup) {
+            self.kill_check(config, obs);
+            self.next_seq[slot] += 1;
+            match event {
+                Event::Gps(point) => {
+                    self.auditors[slot].push_gps(point);
+                    self.stats.gps_events += 1;
+                    if obs.is_some() {
+                        metrics::events_gps().inc();
+                    }
+                }
+                Event::Checkin(checkin) => {
+                    self.auditors[slot].push_checkin(checkin);
+                    self.stats.checkin_events += 1;
+                    if obs.is_some() {
+                        metrics::events_checkin().inc();
+                    }
+                }
+            }
+            if let Some(st) = store.as_deref_mut() {
+                let t = event.record(&mut buf, seq);
+                append_logged(st, user, t, &buf);
+            }
+        }
+        self.emit_verdicts(slot, obs)
     }
 
     /// Apply one command. `obs` carries the metric handles for live
@@ -500,7 +576,6 @@ impl ShardState {
         obs: Option<&ShardMetrics>,
         mut store: Option<&mut EventStore>,
     ) -> Response {
-        let mut ev_buf = Vec::new();
         match cmd {
             ShardCmd::SetOrigin { origin } => match &self.audit {
                 Some(a)
@@ -518,107 +593,24 @@ impl ShardState {
                 None => {
                     self.audit = Some(config.audit_config(*origin));
                     if let Some(st) = store.as_deref_mut() {
-                        crate::snapshot::hello_payload(&mut ev_buf, *origin);
-                        append_logged(st, SENTINEL_USER, 0, &ev_buf);
+                        let mut buf = Vec::new();
+                        crate::snapshot::hello_payload(&mut buf, *origin);
+                        append_logged(st, SENTINEL_USER, 0, &buf);
                     }
                     Response::Ok
                 }
             },
             ShardCmd::Gps { user, seq, point } => {
-                if let Some(resp) = self.gate() {
-                    return resp;
-                }
-                let slot = self.slot(*user);
-                match self.seq_admit(slot, *seq, obs) {
-                    Admit::Duplicate => Response::Verdicts { verdicts: Vec::new() },
-                    Admit::Gap(next) => gap_error(*user, *seq, next),
-                    Admit::Apply => {
-                        self.kill_check(config, obs);
-                        self.next_seq[slot] += 1;
-                        self.auditors[slot].push_gps(*point);
-                        self.stats.gps_events += 1;
-                        if obs.is_some() {
-                            metrics::events_gps().inc();
-                        }
-                        if let Some(st) = store.as_deref_mut() {
-                            crate::snapshot::gps_payload(
-                                &mut ev_buf,
-                                *seq,
-                                point.pos.lat,
-                                point.pos.lon,
-                            );
-                            append_logged(st, *user, point.t, &ev_buf);
-                        }
-                        self.emit_verdicts(slot, obs)
-                    }
-                }
+                self.ingest(*user, *seq, iter::once(Event::Gps(*point)), config, obs, store)
             }
             ShardCmd::GpsRun { user, first_seq, fixes } => {
-                if let Some(resp) = self.gate() {
-                    return resp;
-                }
-                let slot = self.slot(*user);
-                let next = self.next_seq[slot];
-                if *first_seq > next {
-                    return gap_error(*user, *first_seq, next);
-                }
-                // The prefix below `next` is a retried delivery of events
-                // already applied (e.g. a run partially applied before a
-                // fault): acknowledge per event without re-applying.
-                let dup = ((next - *first_seq) as usize).min(fixes.len());
-                if dup > 0 {
-                    self.stats.duplicates += dup;
-                    if obs.is_some() {
-                        metrics::duplicates().add(dup as u64);
-                        task_mark("serve.dedup", FLAG_DEDUP);
-                    }
-                }
-                for (i, fix) in fixes.iter().enumerate().skip(dup) {
-                    let seq = *first_seq + i as u64;
-                    self.kill_check(config, obs);
-                    self.next_seq[slot] += 1;
-                    self.auditors[slot]
-                        .push_gps(GpsPoint { t: fix.t, pos: LatLon::new(fix.lat, fix.lon) });
-                    self.stats.gps_events += 1;
-                    if obs.is_some() {
-                        metrics::events_gps().inc();
-                    }
-                    if let Some(st) = store.as_deref_mut() {
-                        crate::snapshot::gps_payload(&mut ev_buf, seq, fix.lat, fix.lon);
-                        append_logged(st, *user, fix.t, &ev_buf);
-                    }
-                }
-                self.emit_verdicts(slot, obs)
+                let points = fixes
+                    .iter()
+                    .map(|f| Event::Gps(GpsPoint { t: f.t, pos: LatLon::new(f.lat, f.lon) }));
+                self.ingest(*user, *first_seq, points, config, obs, store)
             }
             ShardCmd::Checkin { user, seq, checkin } => {
-                if let Some(resp) = self.gate() {
-                    return resp;
-                }
-                let slot = self.slot(*user);
-                match self.seq_admit(slot, *seq, obs) {
-                    Admit::Duplicate => Response::Verdicts { verdicts: Vec::new() },
-                    Admit::Gap(next) => gap_error(*user, *seq, next),
-                    Admit::Apply => {
-                        self.kill_check(config, obs);
-                        self.next_seq[slot] += 1;
-                        self.auditors[slot].push_checkin(*checkin);
-                        self.stats.checkin_events += 1;
-                        if obs.is_some() {
-                            metrics::events_checkin().inc();
-                        }
-                        if let Some(st) = store.as_deref_mut() {
-                            crate::snapshot::checkin_payload(
-                                &mut ev_buf,
-                                *seq,
-                                checkin.poi,
-                                checkin.location.lat,
-                                checkin.location.lon,
-                            );
-                            append_logged(st, *user, checkin.t, &ev_buf);
-                        }
-                        self.emit_verdicts(slot, obs)
-                    }
-                }
+                self.ingest(*user, *seq, iter::once(Event::Checkin(*checkin)), config, obs, store)
             }
             ShardCmd::Query { user } => match self.slot_of.get(user) {
                 Some(&s) => Response::Composition { composition: self.auditors[s].composition() },
@@ -694,7 +686,7 @@ impl ShardState {
                     // Everything still pending is finalized with the
                     // evidence at hand — record how much that was.
                     report.forced_by_drain = report.pending_checkins;
-                    report.verdicts_flushed = self.finalize_all(obs, store.as_deref_mut());
+                    report.verdicts_flushed = self.finalize(obs, store.as_deref_mut()).len();
                     report.finalized = true;
                 }
                 if let Some(st) = store.as_deref() {
@@ -707,27 +699,7 @@ impl ShardState {
                 }
                 Response::Drained { report }
             }
-            ShardCmd::Finish => {
-                let mut verdicts = Vec::new();
-                if !self.finished {
-                    self.finished = true;
-                    if let Some(st) = store {
-                        crate::snapshot::finish_payload(&mut ev_buf);
-                        append_logged(st, SENTINEL_USER, 0, &ev_buf);
-                    }
-                    for s in self.user_order() {
-                        let a = &mut self.auditors[s];
-                        a.finish();
-                        verdicts.extend(a.drain_verdicts());
-                    }
-                    self.stats.verdicts += verdicts.len();
-                    if let Some(m) = obs {
-                        metrics::verdicts().add(verdicts.len() as u64);
-                        m.verdicts.add(verdicts.len() as u64);
-                    }
-                }
-                Response::Verdicts { verdicts }
-            }
+            ShardCmd::Finish => Response::Verdicts { verdicts: self.finalize(obs, store) },
         }
     }
 
@@ -750,30 +722,35 @@ impl ShardState {
         Response::Verdicts { verdicts }
     }
 
-    /// Finalize every auditor; returns the number of verdicts flushed.
-    fn finalize_all(
+    /// Finish the stream: log the `Finish` sentinel and finalize every
+    /// auditor in user-id order, returning the verdicts that flushed. A
+    /// no-op once the stream is finished.
+    fn finalize(
         &mut self,
         obs: Option<&ShardMetrics>,
         store: Option<&mut EventStore>,
-    ) -> usize {
+    ) -> Vec<AuditVerdict> {
+        let mut verdicts = Vec::new();
+        if self.finished {
+            return verdicts;
+        }
         self.finished = true;
         if let Some(st) = store {
             let mut buf = Vec::new();
             crate::snapshot::finish_payload(&mut buf);
             append_logged(st, SENTINEL_USER, 0, &buf);
         }
-        let mut flushed = 0;
         for s in self.user_order() {
             let a = &mut self.auditors[s];
             a.finish();
-            flushed += a.drain_verdicts().count();
+            verdicts.extend(a.drain_verdicts());
         }
-        self.stats.verdicts += flushed;
+        self.stats.verdicts += verdicts.len();
         if let Some(m) = obs {
-            metrics::verdicts().add(flushed as u64);
-            m.verdicts.add(flushed as u64);
+            metrics::verdicts().add(verdicts.len() as u64);
+            m.verdicts.add(verdicts.len() as u64);
         }
-        flushed
+        verdicts
     }
 }
 
@@ -803,37 +780,18 @@ fn audit_stored(
     };
     let mut auditor = OnlineAuditor::new(user, audit);
     for rec in &records {
-        match crate::snapshot::decode_event(rec) {
-            Ok(Request::Gps { t, lat, lon, .. }) => {
-                auditor.push_gps(GpsPoint { t, pos: LatLon::new(lat, lon) });
-            }
-            Ok(Request::Checkin { t, poi, lat, lon, .. }) => {
-                auditor.push_checkin(Checkin {
-                    t,
-                    poi,
-                    category: PoiCategory::Food,
-                    location: LatLon::new(lat, lon),
-                    provenance: None,
-                });
-            }
+        let req = crate::snapshot::decode_event(rec)
+            .map_err(|e| format!("stored record {} undecodable: {e}", rec.lsn))?;
+        match shard_cmd(req) {
+            Some(ShardCmd::Gps { point, .. }) => auditor.push_gps(point),
+            Some(ShardCmd::Checkin { checkin, .. }) => auditor.push_checkin(checkin),
             // Per-user queries never return the sentinel control records.
-            Ok(_) => {}
-            Err(e) => return Err(format!("stored record {} undecodable: {e}", rec.lsn)),
+            _ => {}
         }
     }
     auditor.finish();
     let _ = auditor.drain_verdicts().count();
     Ok(auditor.composition())
-}
-
-/// What [`ShardState::seq_admit`] decided for one event.
-enum Admit {
-    /// The event is at the expected sequence number: apply it.
-    Apply,
-    /// Already applied: acknowledge without re-applying.
-    Duplicate,
-    /// Ahead of the expected sequence number (carried in the variant).
-    Gap(u64),
 }
 
 /// One shard worker: a supervisor loop owning the auditors of the users
@@ -1175,7 +1133,7 @@ fn restore_shard(shard: usize, store: &EventStore, config: &ServerConfig) -> Sha
             for rec in &records {
                 match crate::snapshot::decode_event(rec) {
                     Ok(req) => {
-                        if let Some(cmd) = mutation_cmd(req) {
+                        if let Some(cmd) = shard_cmd(req) {
                             let _ = state.apply(&cmd, config, None, None);
                         }
                     }
@@ -1296,24 +1254,6 @@ fn handle_conn(
     let mut in_buf: Vec<u8> = Vec::new();
     let mut out_buf: Vec<u8> = Vec::new();
 
-    let route = |shards: &[mpsc::Sender<ShardMsg>],
-                 user: UserId,
-                 cmd: ShardCmd,
-                 ctx: Option<TraceContext>| {
-        let shard = shard_of(user, shards.len());
-        queues[shard].inc();
-        shards[shard].send(ShardMsg { cmd, ctx, reply: reply_tx.clone() }).is_ok()
-    };
-    // Broadcasts stay untraced: fanning one context out to every shard
-    // would record N copies of the same leg, and the traced acceptance
-    // path (ingest) is always single-shard.
-    let broadcast = |shards: &[mpsc::Sender<ShardMsg>], mk: &dyn Fn() -> ShardCmd| {
-        for (shard, tx) in shards.iter().enumerate() {
-            queues[shard].inc();
-            let _ = tx.send(ShardMsg { cmd: mk(), ctx: None, reply: reply_tx.clone() });
-        }
-    };
-
     loop {
         let len = match read_frame_into(&mut reader, &mut in_buf) {
             Ok(Some(len)) => len,
@@ -1337,126 +1277,90 @@ fn handle_conn(
         // Timed from post-decode to response-ready: routing + shard work,
         // excluding socket read/write.
         let mut clock = Stopwatch::start();
-        let latency = match req {
-            Request::Hello { .. } => metrics::latency_hello(),
-            Request::Gps { .. } => metrics::latency_gps(),
-            Request::GpsRun { .. } => metrics::latency_run(),
-            Request::Checkin { .. } => metrics::latency_checkin(),
-            Request::User { .. } => metrics::latency_user(),
-            Request::AsOf { .. } => metrics::latency_asof(),
-            Request::Window { .. } => metrics::latency_window(),
-            Request::Stats => metrics::latency_stats(),
-            Request::Metrics => metrics::latency_metrics(),
-            Request::Traces { .. } => metrics::latency_traces(),
-            Request::MetricsHistory { .. } => metrics::latency_history(),
-            Request::Drain { .. } => metrics::latency_drain(),
-            Request::Finish | Request::Shutdown => metrics::latency_finish(),
+        let (latency, query) = match req {
+            Request::Hello { .. } => (metrics::latency_hello(), false),
+            Request::Gps { .. } => (metrics::latency_gps(), false),
+            Request::GpsRun { .. } => (metrics::latency_run(), false),
+            Request::Checkin { .. } => (metrics::latency_checkin(), false),
+            Request::User { .. } => (metrics::latency_user(), true),
+            Request::AsOf { .. } => (metrics::latency_asof(), true),
+            Request::Window { .. } => (metrics::latency_window(), true),
+            Request::Stats => (metrics::latency_stats(), true),
+            Request::Metrics => (metrics::latency_metrics(), true),
+            Request::Traces { .. } => (metrics::latency_traces(), true),
+            Request::MetricsHistory { .. } => (metrics::latency_history(), true),
+            Request::Drain { .. } => (metrics::latency_drain(), false),
+            Request::Finish | Request::Shutdown => (metrics::latency_finish(), false),
             // Cluster control answered with an error below; bucket with
             // the other control queries.
-            Request::ShardMap | Request::Handoff { .. } => metrics::latency_stats(),
+            Request::ShardMap | Request::Handoff { .. } => (metrics::latency_stats(), false),
         };
-        let resp = match req {
-            Request::Hello { origin_lat, origin_lon } => {
-                let origin = LatLon::new(origin_lat, origin_lon);
-                broadcast(&shards, &|| ShardCmd::SetOrigin { origin });
-                merge_broadcast(&reply_rx, n)
+        if query {
+            queries.fetch_add(1, Ordering::Relaxed);
+            metrics::queries().inc();
+        }
+        if let Request::Drain { finalize } = req {
+            metrics::drains().inc();
+            geosocial_obs::info!("serve", "drain requested"; finalize = finalize);
+        }
+        // Route exactly as the cluster router does (`wire::route_of`): one
+        // shard for user-addressed requests, every shard for broadcasts,
+        // inline for control.
+        let resp = match (wire::route_of(&req), req) {
+            (RoutePeek::User(user), req) => {
+                let cmd = shard_cmd(req).expect("user-routed requests reach a shard");
+                let shard = shard_of(user, n);
+                queues[shard].inc();
+                if shards[shard].send(ShardMsg { cmd, ctx, reply: reply_tx.clone() }).is_ok() {
+                    reply_rx.recv().unwrap_or_else(|_| shard_gone())
+                } else {
+                    shard_gone()
+                }
             }
-            req @ (Request::Gps { .. } | Request::GpsRun { .. } | Request::Checkin { .. }) => {
-                let user = match &req {
-                    Request::Gps { user, .. }
-                    | Request::GpsRun { user, .. }
-                    | Request::Checkin { user, .. } => *user,
-                    _ => unreachable!("outer pattern is ingest-only"),
+            (_, Request::Traces { trace_id: Some(id), .. })
+                if geosocial_obs::trace::parse_trace_id(&id).is_none() =>
+            {
+                Response::Error {
+                    message: format!("bad trace id {id:?}: want up to 32 hex digits"),
+                }
+            }
+            (RoutePeek::Broadcast, req) => {
+                let slowest = match req {
+                    Request::Traces { slowest, .. } => Some(slowest),
+                    _ => None,
                 };
-                let cmd = mutation_cmd(req).expect("ingest maps to a shard mutation");
-                if route(&shards, user, cmd, ctx) {
-                    reply_rx.recv().unwrap_or_else(|_| shard_gone())
-                } else {
-                    shard_gone()
+                let cmd = shard_cmd(req).expect("broadcasts reach every shard");
+                // Broadcasts stay untraced: fanning one context out to
+                // every shard would record N copies of the same leg, and
+                // the traced acceptance path (ingest) is always
+                // single-shard.
+                for (shard, tx) in shards.iter().enumerate() {
+                    queues[shard].inc();
+                    let _ =
+                        tx.send(ShardMsg { cmd: cmd.clone(), ctx: None, reply: reply_tx.clone() });
+                }
+                let replies = replies(&reply_rx, n);
+                match slowest {
+                    Some(slowest) => crate::merge::merge_trace_responses(replies, slowest),
+                    None => crate::merge::merge_responses(replies),
                 }
             }
-            Request::User { user } => {
-                queries.fetch_add(1, Ordering::Relaxed);
-                metrics::queries().inc();
-                if route(&shards, user, ShardCmd::Query { user }, ctx) {
-                    reply_rx.recv().unwrap_or_else(|_| shard_gone())
-                } else {
-                    shard_gone()
-                }
-            }
-            Request::AsOf { user, t } => {
-                queries.fetch_add(1, Ordering::Relaxed);
-                metrics::queries().inc();
-                if route(&shards, user, ShardCmd::AsOf { user, t }, ctx) {
-                    reply_rx.recv().unwrap_or_else(|_| shard_gone())
-                } else {
-                    shard_gone()
-                }
-            }
-            Request::Window { cohort, t0, t1 } => {
-                queries.fetch_add(1, Ordering::Relaxed);
-                metrics::queries().inc();
-                broadcast(&shards, &|| ShardCmd::Window { cohort: cohort.clone(), t0, t1 });
-                merge_broadcast(&reply_rx, n)
-            }
-            Request::Stats => {
-                queries.fetch_add(1, Ordering::Relaxed);
-                metrics::queries().inc();
-                broadcast(&shards, &|| ShardCmd::Stats);
-                merge_broadcast(&reply_rx, n)
-            }
-            Request::Metrics => {
-                // Served here, never routed: a scrape must stay cheap and
-                // answerable even while every shard queue is deep.
-                queries.fetch_add(1, Ordering::Relaxed);
-                metrics::queries().inc();
+            // Metrics and history are served here, never routed: a scrape
+            // must stay cheap and answerable even while every shard queue
+            // is deep.
+            (RoutePeek::Control, Request::Metrics) => {
                 Response::Metrics { text: geosocial_obs::render_text() }
             }
-            Request::Traces { trace_id, slowest, path } => {
-                queries.fetch_add(1, Ordering::Relaxed);
-                metrics::queries().inc();
-                match trace_id.as_deref().map(geosocial_obs::trace::parse_trace_id) {
-                    Some(None) => Response::Error {
-                        message: format!(
-                            "bad trace id {:?}: want up to 32 hex digits",
-                            trace_id.unwrap_or_default()
-                        ),
-                    },
-                    parsed => {
-                        let id = parsed.flatten();
-                        broadcast(&shards, &|| ShardCmd::Traces {
-                            trace_id: id,
-                            slowest,
-                            path: path.clone(),
-                        });
-                        merge_traces(&reply_rx, n, slowest)
-                    }
-                }
-            }
-            Request::MetricsHistory { last } => {
-                // Like `Metrics`: answered inline from the obs history
-                // ring, cheap and shard-queue-independent.
-                queries.fetch_add(1, Ordering::Relaxed);
-                metrics::queries().inc();
+            (RoutePeek::Control, Request::MetricsHistory { last }) => {
                 Response::MetricsHistory { report: history_report(last) }
             }
-            Request::Drain { finalize } => {
-                metrics::drains().inc();
-                geosocial_obs::info!("serve", "drain requested"; finalize = finalize);
-                broadcast(&shards, &|| ShardCmd::Drain { finalize });
-                merge_broadcast(&reply_rx, n)
-            }
-            Request::Finish => {
-                broadcast(&shards, &|| ShardCmd::Finish);
-                merge_broadcast(&reply_rx, n)
-            }
-            Request::Shutdown => {
+            (RoutePeek::Control, Request::Shutdown) => {
                 shutdown.store(true, Ordering::SeqCst);
                 // Unblock the acceptor so it can observe the flag.
                 let _ = TcpStream::connect(self_addr);
                 Response::Ok
             }
-            Request::ShardMap | Request::Handoff { .. } => Response::Error {
+            (RoutePeek::Control, _) => Response::Error {
                 message: "cluster control request sent to a shard server \
                           (connect to geosocial-router instead)"
                     .into(),
@@ -1484,19 +1388,11 @@ fn handle_conn(
 
 use crate::merge::shard_gone;
 
-/// Await `n` broadcast replies and merge them into one response (the
-/// merge itself is shared with the cluster router; see [`crate::merge`]).
-fn merge_broadcast(rx: &mpsc::Receiver<Response>, n: usize) -> Response {
-    crate::merge::merge_responses((0..n).map(|_| rx.recv().unwrap_or_else(|_| shard_gone())))
-}
-
-/// Await `n` shard answers to a `Traces` broadcast and merge them via
-/// [`crate::merge::merge_trace_responses`].
-fn merge_traces(rx: &mpsc::Receiver<Response>, n: usize, slowest: usize) -> Response {
-    crate::merge::merge_trace_responses(
-        (0..n).map(|_| rx.recv().unwrap_or_else(|_| shard_gone())),
-        slowest,
-    )
+/// The `n` replies to one broadcast, awaited in arrival order (a hung-up
+/// worker answers [`shard_gone`]); merged by [`crate::merge`], which the
+/// cluster router shares.
+fn replies(rx: &mpsc::Receiver<Response>, n: usize) -> impl Iterator<Item = Response> + '_ {
+    (0..n).map(|_| rx.recv().unwrap_or_else(|_| shard_gone()))
 }
 
 /// Build a `MetricsHistory` answer from the obs history ring: the last
@@ -1598,55 +1494,37 @@ pub fn run_with(listener: TcpListener, config: ServerConfig) -> io::Result<Serve
         shard_txs.push(tx);
     }
 
-    // Metrics-history ticker: snapshot the registry into the obs history
-    // ring once a second for as long as the server runs, so
-    // `MetricsHistory` can answer with rates. One tick lands immediately
-    // so the ring is never empty.
-    let expo_stop = Arc::new(AtomicBool::new(false));
+    // Metrics ticker: snapshot the registry into the obs history ring once
+    // a second for as long as the server runs, so `MetricsHistory` can
+    // answer with rates (one tick lands immediately so the ring is never
+    // empty), and — when `metrics_every_s` is set — dump the whole
+    // registry to stderr on that cadence, for operators who tail the log
+    // instead of polling `Metrics`.
+    let ticker_stop = Arc::new(AtomicBool::new(false));
     geosocial_obs::history_tick();
-    let history_thread = {
-        let stop = Arc::clone(&expo_stop);
+    let ticker = {
+        let stop = Arc::clone(&ticker_stop);
+        let expo_every_s = config.metrics_every_s.map(|s| s.max(1));
         std::thread::Builder::new()
-            .name("geosocial-history".into())
+            .name("geosocial-ticker".into())
             .spawn(move || {
-                let tick = std::time::Duration::from_millis(100);
-                let mut elapsed = std::time::Duration::ZERO;
-                let period = std::time::Duration::from_secs(1);
+                let mut ticks = 0u64;
                 while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    elapsed += tick;
-                    if elapsed >= period {
-                        elapsed = std::time::Duration::ZERO;
-                        geosocial_obs::history_tick();
+                    std::thread::sleep(Duration::from_millis(100));
+                    ticks += 1;
+                    if !ticks.is_multiple_of(10) {
+                        continue;
                     }
-                }
-            })
-            .expect("spawn history thread")
-    };
-
-    // Periodic exposition: dump the whole registry to stderr on a cadence,
-    // for operators who tail the log instead of polling `Metrics`.
-    let expo_thread = config.metrics_every_s.map(|every_s| {
-        let stop = Arc::clone(&expo_stop);
-        std::thread::Builder::new()
-            .name("geosocial-expo".into())
-            .spawn(move || {
-                let tick = std::time::Duration::from_millis(200);
-                let mut elapsed = std::time::Duration::ZERO;
-                let period = std::time::Duration::from_secs(every_s.max(1));
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    elapsed += tick;
-                    if elapsed >= period {
-                        elapsed = std::time::Duration::ZERO;
+                    geosocial_obs::history_tick();
+                    if expo_every_s.is_some_and(|every| (ticks / 10).is_multiple_of(every)) {
                         geosocial_obs::info!("serve", "periodic metrics exposition");
                         eprint!("{}", geosocial_obs::render_text());
                         io::stderr().flush().ok();
                     }
                 }
             })
-            .expect("spawn exposition thread")
-    });
+            .expect("spawn metrics ticker thread")
+    };
 
     // Accept loop: bounded backpressure — take a handler slot before
     // accepting, so at most `max_connections` are ever serviced at once.
@@ -1694,11 +1572,8 @@ pub fn run_with(listener: TcpListener, config: ServerConfig) -> io::Result<Serve
         }
     }
     drop(listener);
-    expo_stop.store(true, Ordering::SeqCst);
-    let _ = history_thread.join();
-    if let Some(t) = expo_thread {
-        let _ = t.join();
-    }
+    ticker_stop.store(true, Ordering::SeqCst);
+    let _ = ticker.join();
     // Handlers are detached; the slot count is their join.
     slots.wait_idle();
 
@@ -1708,7 +1583,7 @@ pub fn run_with(listener: TcpListener, config: ServerConfig) -> io::Result<Serve
         let _ = tx.send(ShardMsg { cmd: ShardCmd::Stats, ctx: None, reply: reply_tx.clone() });
     }
     drop(reply_tx);
-    let mut final_stats = match merge_broadcast(&reply_rx, shard_txs.len()) {
+    let mut final_stats = match crate::merge::merge_responses(replies(&reply_rx, shard_txs.len())) {
         Response::Stats { stats } => stats,
         _ => ServerStats::default(),
     };
@@ -1747,4 +1622,104 @@ pub fn run_with(listener: TcpListener, config: ServerConfig) -> io::Result<Serve
     );
     io::stderr().flush().ok();
     Ok(final_stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard with its origin fixed, logging into a fresh temp-dir store.
+    fn logged_shard(tag: &str, config: &ServerConfig) -> (ShardState, EventStore, PathBuf) {
+        let dir = std::env::temp_dir()
+            .join(format!("geosocial-serve-frames-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = StoreOptions {
+            segment_bytes: config.segment_bytes,
+            fault: FaultPlan::none(),
+            shard: 0,
+            flush_bytes: config.flush_bytes,
+        };
+        let mut store = EventStore::open(&dir, opts).expect("open store");
+        let mut state = ShardState::new(0);
+        let origin = LatLon::new(34.42, -119.86);
+        state.apply(&ShardCmd::SetOrigin { origin }, config, None, Some(&mut store));
+        (state, store, dir)
+    }
+
+    /// Frame shape does not matter: the same events sent one fix per
+    /// `Gps` frame or batched into `GpsRun`s give the same verdicts, the
+    /// same shard state and the same store records, and the batched
+    /// shard's store restores to that state.
+    #[test]
+    fn frame_shape_does_not_change_verdicts_state_or_store() {
+        let config = ServerConfig::default();
+        let user = 7;
+        // A 40-minute stay near the origin, a checkin at its end (an
+        // honest verdict), then a move away.
+        let fixes: Vec<WireFix> = (0..12)
+            .map(|i| WireFix {
+                t: 300 * i,
+                lat: if i < 9 { 34.42 + 0.00001 * (i % 3) as f64 } else { 34.44 + 0.01 * i as f64 },
+                lon: -119.86,
+            })
+            .collect();
+        let checkin = Checkin {
+            t: 2_450,
+            poi: 3,
+            category: PoiCategory::Food,
+            location: LatLon::new(34.4201, -119.86),
+            provenance: None,
+        };
+        let gps = |i: usize| ShardCmd::Gps {
+            user,
+            seq: if i < 9 { i } else { i + 1 } as u64,
+            point: GpsPoint { t: fixes[i].t, pos: LatLon::new(fixes[i].lat, fixes[i].lon) },
+        };
+        let mut per_fix: Vec<ShardCmd> = (0..9).map(gps).collect();
+        per_fix.push(ShardCmd::Checkin { user, seq: 9, checkin });
+        per_fix.extend((9..12).map(gps));
+        per_fix.push(ShardCmd::Finish);
+        let batched = vec![
+            ShardCmd::GpsRun { user, first_seq: 0, fixes: fixes[..9].to_vec() },
+            ShardCmd::Checkin { user, seq: 9, checkin },
+            ShardCmd::GpsRun { user, first_seq: 10, fixes: fixes[9..10].to_vec() },
+            ShardCmd::GpsRun { user, first_seq: 11, fixes: fixes[10..].to_vec() },
+            ShardCmd::Finish,
+        ];
+
+        let mut outcomes = Vec::new();
+        for (tag, cmds) in [("per-fix", &per_fix), ("batched", &batched)] {
+            let (mut state, mut store, dir) = logged_shard(tag, &config);
+            let mut verdicts = Vec::new();
+            for cmd in cmds {
+                match state.apply(cmd, &config, None, Some(&mut store)) {
+                    Response::Verdicts { verdicts: v } => verdicts.extend(v),
+                    other => panic!("{tag}: expected Verdicts, got {other:?}"),
+                }
+            }
+            let records: Vec<(u32, i64, Vec<u8>)> = store
+                .replay_delta()
+                .expect("read the log")
+                .into_iter()
+                .map(|r| (r.user, r.t, r.payload))
+                .collect();
+            let restored = restore_shard(0, &store, &config);
+            outcomes.push((
+                format!("{verdicts:?}"),
+                crate::snapshot::encode_state(&state),
+                records,
+                crate::snapshot::encode_state(&restored),
+            ));
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let (per_fix, batched) = (&outcomes[0], &outcomes[1]);
+        assert!(per_fix.0.contains("AuditVerdict"), "the stream produced no verdict");
+        assert_eq!(per_fix.0, batched.0, "verdicts differ by frame shape");
+        assert_eq!(per_fix.1, batched.1, "shard state differs by frame shape");
+        // Hello sentinel, 13 events, Finish sentinel.
+        assert_eq!(per_fix.2.len(), 15);
+        assert_eq!(per_fix.2, batched.2, "store records differ by frame shape");
+        assert_eq!(batched.3, batched.1, "restoring the batched store changed the state");
+    }
 }

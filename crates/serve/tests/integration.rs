@@ -195,6 +195,41 @@ fn protocol_guards_reject_bad_sessions() {
         Response::Error { message } => assert!(message.contains("gap"), "got: {message}"),
         other => panic!("expected gap error, got {other:?}"),
     }
+    // A gap frame from a user never seen is rejected without creating the
+    // user: per-user reads still say "unknown user", the cohort read finds
+    // nobody, and the user count is unchanged.
+    let users = |resp: Response| match resp {
+        Response::Stats { stats } => stats.users,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    let users_before = users(ask(&Request::Stats));
+    match ask(&Request::Gps { user: 9, seq: 3, t: 0, lat: 34.42, lon: -119.86 }) {
+        Response::Error { message } => assert!(message.contains("gap"), "got: {message}"),
+        other => panic!("expected gap error, got {other:?}"),
+    }
+    match ask(&Request::User { user: 9 }) {
+        Response::Error { message } => assert!(message.contains("unknown user"), "got: {message}"),
+        other => panic!("expected unknown-user error after a rejected gap, got {other:?}"),
+    }
+    match ask(&Request::Window { cohort: vec![9], t0: i64::MIN, t1: i64::MAX }) {
+        Response::Compositions { compositions } => assert!(compositions.is_empty()),
+        other => panic!("expected an empty cohort, got {other:?}"),
+    }
+    assert_eq!(users(ask(&Request::Stats)), users_before, "a rejected frame created a user");
+    // Checkins follow the same sequence contract as fixes.
+    let checkin = |seq| Request::Checkin { user: 1, seq, t: 120, poi: 4, lat: 34.42, lon: -119.86 };
+    match ask(&checkin(1)) {
+        Response::Verdicts { .. } => {}
+        other => panic!("expected Verdicts for Checkin, got {other:?}"),
+    }
+    match ask(&checkin(1)) {
+        Response::Verdicts { verdicts } => assert!(verdicts.is_empty()),
+        other => panic!("expected empty ack for duplicate checkin, got {other:?}"),
+    }
+    match ask(&checkin(7)) {
+        Response::Error { message } => assert!(message.contains("gap"), "got: {message}"),
+        other => panic!("expected checkin gap error, got {other:?}"),
+    }
     // Finish finalizes; ingest afterwards is refused.
     match ask(&Request::Finish) {
         Response::Verdicts { .. } | Response::Ok => {}

@@ -11,25 +11,12 @@
 //!   audited state from its snapshot + replayed delta.
 
 use geosocial_checkin::{Scenario, ScenarioConfig};
-use geosocial_serve::loadgen::{run, shutdown_server, LoadgenConfig};
-use geosocial_serve::protocol::{read_msg, write_msg, Request, Response};
+use geosocial_serve::loadgen::{control_request, run, shutdown_server, LoadgenConfig};
+use geosocial_serve::protocol::{Request, Response};
 use geosocial_serve::server::{spawn, ServerConfig};
 use geosocial_stream::{dataset_events, window_compositions, AuditConfig, StreamEvent};
 use geosocial_trace::{Dataset, UserId};
 use std::collections::BTreeSet;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
-
-/// One request over a fresh JSON control connection.
-fn control(addr: SocketAddr, req: &Request) -> Response {
-    let stream = TcpStream::connect(addr).expect("connect control");
-    stream.set_nodelay(true).ok();
-    let mut w = BufWriter::new(stream.try_clone().expect("clone stream"));
-    write_msg(&mut w, req).expect("write request");
-    w.flush().expect("flush request");
-    let mut r = BufReader::new(stream);
-    read_msg::<Response, _>(&mut r).expect("read response").expect("response present")
-}
 
 /// The scenario both tests replay, plus its derived batch-side inputs.
 fn scenario(users: u32, days: u32, seed: u64) -> (Scenario, Vec<StreamEvent>) {
@@ -82,7 +69,9 @@ fn as_of_and_window_match_batch_truncated_at_watermark() {
     // Per-user `AsOf` at the watermark == the batch pipeline truncated
     // there.
     for want in &expected {
-        match control(addr, &Request::AsOf { user: want.user, t: watermark }) {
+        match control_request(addr, &Request::AsOf { user: want.user, t: watermark })
+            .expect("control request")
+        {
             Response::AsOf { composition, .. } => {
                 assert_eq!(composition, *want, "AsOf diverged for user {}", want.user);
             }
@@ -95,7 +84,8 @@ fn as_of_and_window_match_batch_truncated_at_watermark() {
     let per_user: Vec<usize> =
         cohort.iter().map(|&u| events.iter().filter(|e| e.user() == u).count()).collect();
     for (&user, &count) in cohort.iter().zip(&per_user) {
-        match control(addr, &Request::AsOf { user, t: i64::MAX }) {
+        match control_request(addr, &Request::AsOf { user, t: i64::MAX }).expect("control request")
+        {
             Response::AsOf { applied, .. } => {
                 assert_eq!(applied, count as u64, "store applied-count for user {user}");
             }
@@ -107,7 +97,9 @@ fn as_of_and_window_match_batch_truncated_at_watermark() {
     // in the cohort: unknown users are skipped, the merge is sorted.
     let mut ask = cohort.clone();
     ask.push(u32::MAX - 1);
-    match control(addr, &Request::Window { cohort: ask, t0: i64::MIN, t1: watermark }) {
+    match control_request(addr, &Request::Window { cohort: ask, t0: i64::MIN, t1: watermark })
+        .expect("control request")
+    {
         Response::Compositions { compositions } => {
             assert_eq!(compositions, expected, "Window diverged from batch truncation");
         }
@@ -116,7 +108,12 @@ fn as_of_and_window_match_batch_truncated_at_watermark() {
 
     // And the degenerate full-range window equals the full batch replay.
     let full = window_compositions(&events, &cfg, None, i64::MIN, i64::MAX);
-    match control(addr, &Request::Window { cohort: cohort.clone(), t0: i64::MIN, t1: i64::MAX }) {
+    match control_request(
+        addr,
+        &Request::Window { cohort: cohort.clone(), t0: i64::MIN, t1: i64::MAX },
+    )
+    .expect("control request")
+    {
         Response::Compositions { compositions } => {
             assert_eq!(compositions, full, "full-range Window diverged from batch");
         }
@@ -169,7 +166,7 @@ fn state_survives_server_restart_on_same_store_dir() {
     let cfg = audit_config(ds);
     let full = window_compositions(&events, &cfg, None, i64::MIN, i64::MAX);
     for want in &full {
-        match control(addr, &Request::User { user: want.user }) {
+        match control_request(addr, &Request::User { user: want.user }).expect("control request") {
             Response::Composition { composition } => {
                 assert_eq!(
                     composition, *want,
@@ -181,7 +178,7 @@ fn state_survives_server_restart_on_same_store_dir() {
         }
     }
 
-    match control(addr, &Request::Stats) {
+    match control_request(addr, &Request::Stats).expect("control request") {
         Response::Stats { stats } => {
             assert_eq!(stats.gps_events, first_stats.gps_events, "restored gps count");
             assert_eq!(stats.checkin_events, first_stats.checkin_events, "restored checkin count");
