@@ -23,17 +23,16 @@ usage: geosocial-router --shard HOST:PORT [--shard HOST:PORT ...] [options]
   --read-timeout S     client idle read timeout in seconds (default 0 = off)
   --write-timeout S    write timeout in seconds (default 0 = off)
   --max-conns N        concurrently served client connections (default 256)
-  --pending-cap N      per-link in-flight frame cap (default 1024)
   --connect-attempts N reconnect budget per link outage (default 40)
   --connect-backoff MS pause between reconnect attempts (default 250)
   --help               print this message";
 
-fn parse_args() -> Result<(String, RouterConfig), String> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(String, RouterConfig), String> {
     let mut addr = "127.0.0.1:7745".to_string();
     let mut config = RouterConfig::default();
     let parse_shard =
         |s: &str| s.parse::<SocketAddr>().map_err(|e| format!("bad shard address {s:?}: {e}"));
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
@@ -58,10 +57,6 @@ fn parse_args() -> Result<(String, RouterConfig), String> {
             "--max-conns" => {
                 config.max_connections =
                     value("--max-conns")?.parse().map_err(|e| format!("--max-conns: {e}"))?;
-            }
-            "--pending-cap" => {
-                config.pending_cap =
-                    value("--pending-cap")?.parse().map_err(|e| format!("--pending-cap: {e}"))?;
             }
             "--connect-attempts" => {
                 config.connect_attempts = value("--connect-attempts")?
@@ -88,7 +83,7 @@ fn parse_args() -> Result<(String, RouterConfig), String> {
 }
 
 fn main() {
-    let (addr, config) = match parse_args() {
+    let (addr, config) = match parse_args(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(e) => {
             geosocial_obs::error!("router", "{e}");
@@ -113,5 +108,49 @@ fn main() {
     if let Err(e) = run_with(listener, config) {
         geosocial_obs::error!("router", "route failed: {e}");
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flags `USAGE` documents: the first word of each option line.
+    fn documented_flags() -> Vec<&'static str> {
+        USAGE
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .filter(|w| w.starts_with("--") && *w != "--help")
+            .collect()
+    }
+
+    /// `flag sample` after the one `--shard` every invocation needs.
+    fn parse_with(flag: &str, sample: &str) -> Result<(String, RouterConfig), String> {
+        let words = ["--shard", "127.0.0.1:1", flag, sample];
+        parse_args(words.iter().map(|w| w.to_string()))
+    }
+
+    #[test]
+    fn every_documented_flag_parses() {
+        let flags = documented_flags();
+        assert_eq!(flags.len(), 8, "{flags:?}");
+        for flag in flags {
+            let sample = match flag {
+                "--addr" | "--shard" => "127.0.0.1:0",
+                "--shards" => "127.0.0.1:2,127.0.0.1:3",
+                _ => "1",
+            };
+            if let Err(e) = parse_with(flag, sample) {
+                panic!("{flag} {sample}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn removed_flags_are_unknown() {
+        match parse_with("--pending-cap", "1") {
+            Err(e) => assert!(e.contains("unknown flag"), "--pending-cap: {e}"),
+            Ok(_) => panic!("--pending-cap still parses"),
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! `geosocial-serve`: the online checkin-validity auditing server.
 //!
 //! Binds a TCP listener and audits streamed GPS fixes and checkins with
-//! the paper's α/β thresholds, sharding per-user state across worker
-//! threads. Stop it with a `Shutdown` request (e.g. via
-//! `geosocial-loadgen`); the final per-shard counters are logged to stderr
-//! on the way out.
+//! the paper's thresholds (α = 500 m, β = 30 min, §5.1 classification) in
+//! event order, sharding per-user state across worker threads. Stop it
+//! with a `Shutdown` request (e.g. via `geosocial-loadgen`); the final
+//! per-shard counters are logged to stderr on the way out.
 //!
 //! Diagnostics go through the `geosocial-obs` structured logger — set
 //! `GEOSOCIAL_LOG` to filter (e.g. `GEOSOCIAL_LOG=debug`, `=off`) and
@@ -20,9 +20,6 @@ const USAGE: &str = "\
 usage: geosocial-serve [options]
   --addr HOST:PORT   bind address (default 127.0.0.1:7744; port 0 = ephemeral)
   --shards N         worker shards owning per-user state (default 4)
-  --alpha METERS     matching distance threshold (default 500)
-  --beta SECONDS     matching time threshold (default 1800)
-  --lateness SECONDS allowed event-time lateness (default 0 = in-order)
   --metrics-every S  write the metrics exposition to stderr every S seconds
                      (default off; GEOSOCIAL_METRICS_EVERY env var also works)
   --read-timeout S   per-connection idle read timeout in seconds
@@ -41,11 +38,9 @@ usage: geosocial-serve [options]
                      a SIGKILL — what cluster handoff under chaos relies on)
   --fault SPEC       fault plan, e.g. seed=42,truncate=20,stall=5:300,kill=1@500
                      (inert unless built with --features fault-inject)
-  --trace-slow-us N  tail-sampling threshold: keep any trace whose end-to-end
-                     latency reaches N microseconds (default 10000)
   --help             print this message";
 
-fn parse_args() -> Result<(String, ServerConfig), String> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(String, ServerConfig), String> {
     let mut addr = "127.0.0.1:7744".to_string();
     let mut config = ServerConfig::default();
     if let Ok(var) = std::env::var("GEOSOCIAL_METRICS_EVERY") {
@@ -55,25 +50,13 @@ fn parse_args() -> Result<(String, ServerConfig), String> {
             }
         }
     }
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--addr" => addr = value("--addr")?,
             "--shards" => {
                 config.shards = value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
-            }
-            "--alpha" => {
-                config.match_config.alpha_m =
-                    value("--alpha")?.parse().map_err(|e| format!("--alpha: {e}"))?;
-            }
-            "--beta" => {
-                config.match_config.beta_s =
-                    value("--beta")?.parse().map_err(|e| format!("--beta: {e}"))?;
-            }
-            "--lateness" => {
-                config.allowed_lateness_s =
-                    value("--lateness")?.parse().map_err(|e| format!("--lateness: {e}"))?;
             }
             "--metrics-every" => {
                 let s: u64 = value("--metrics-every")?
@@ -123,11 +106,6 @@ fn parse_args() -> Result<(String, ServerConfig), String> {
                     );
                 }
             }
-            "--trace-slow-us" => {
-                config.trace_slow_us = value("--trace-slow-us")?
-                    .parse()
-                    .map_err(|e| format!("--trace-slow-us: {e}"))?;
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 exit(0);
@@ -139,7 +117,7 @@ fn parse_args() -> Result<(String, ServerConfig), String> {
 }
 
 fn main() {
-    let (addr, config) = match parse_args() {
+    let (addr, config) = match parse_args(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(e) => {
             geosocial_obs::error!("serve", "{e}");
@@ -155,16 +133,58 @@ fn main() {
         }
     };
     match listener.local_addr() {
-        Ok(local) => geosocial_obs::info!("serve", "listening";
-            addr = local,
-            shards = config.shards,
-            alpha_m = config.match_config.alpha_m,
-            beta_s = config.match_config.beta_s,
-        ),
+        Ok(local) => {
+            geosocial_obs::info!("serve", "listening"; addr = local, shards = config.shards)
+        }
         Err(e) => geosocial_obs::warn!("serve", "local_addr: {e}"),
     }
     if let Err(e) = run_with(listener, config) {
         geosocial_obs::error!("serve", "serve failed: {e}");
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flags `USAGE` documents: the first word of each option line.
+    fn documented_flags() -> Vec<&'static str> {
+        USAGE
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .filter(|w| w.starts_with("--") && *w != "--help")
+            .collect()
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn every_documented_flag_parses() {
+        let flags = documented_flags();
+        assert_eq!(flags.len(), 11, "{flags:?}");
+        for flag in flags {
+            let sample = match flag {
+                "--addr" => "127.0.0.1:0",
+                "--store-dir" => "store",
+                "--fault" => "seed=42",
+                _ => "1",
+            };
+            if let Err(e) = parse_args(args(&[flag, sample])) {
+                panic!("{flag} {sample}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn removed_flags_are_unknown() {
+        for flag in ["--alpha", "--beta", "--lateness", "--trace-slow-us"] {
+            match parse_args(args(&[flag, "1"])) {
+                Err(e) => assert!(e.contains("unknown flag"), "{flag}: {e}"),
+                Ok(_) => panic!("{flag} still parses"),
+            }
+        }
     }
 }

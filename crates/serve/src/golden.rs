@@ -10,7 +10,7 @@
 
 use geosocial_geo::LatLon;
 use geosocial_obs::trace::TraceContext;
-use geosocial_stream::{AuditVerdict, OnlineAuditor, VerdictKind};
+use geosocial_stream::{AuditConfig, AuditVerdict, OnlineAuditor, VerdictKind};
 
 use crate::protocol::{Request, Response, WireFix};
 use crate::server::{ServerConfig, ShardCmd, ShardState};
@@ -130,7 +130,7 @@ fn snapshot_verdict_record_bytes() {
     let origin = LatLon::new(34.42, -119.86);
     let mut state = ShardState::new(1);
     state.apply(&ShardCmd::SetOrigin { origin }, &config, None, None);
-    let audit = config.audit_config(origin);
+    let audit = AuditConfig::paper(origin);
     let mut astate = OnlineAuditor::new(300, audit.clone()).export_state();
     astate.verdicts = vec![verdict(4, VerdictKind::Remote, None)];
     state.slot_of.insert(300, 0);
@@ -141,6 +141,6 @@ fn snapshot_verdict_record_bytes() {
     let golden = "01010001f6285c8fc2354140d7a3703d0af75dc0000000000001ac020cac02000000000000000000000000000000ffffffffffffffffff010001ac0204e0c90a02000000000000204540b301ac02000000000000000000000000";
     let bytes = encode_state(&state);
     assert_eq!(hex(&bytes), golden);
-    let back = decode_state(&unhex(golden), &config).expect("golden decodes");
+    let back = decode_state(&unhex(golden)).expect("golden decodes");
     assert_eq!(encode_state(&back), bytes);
 }

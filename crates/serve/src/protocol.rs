@@ -312,7 +312,11 @@ pub struct ServerStats {
     pub gps_events: usize,
     /// Checkins ingested.
     pub checkin_events: usize,
-    /// Composition/stats queries served.
+    /// Queries served (`User`, `AsOf`, `Window`, `Stats`, `Metrics`,
+    /// `Traces`, `MetricsHistory`), this `Stats` included, counted by the
+    /// server's connection handlers. Through the router it is the sum of
+    /// the shard processes' counts, so a broadcast query counts once per
+    /// shard process.
     pub queries: usize,
     /// Verdicts finalized and delivered.
     pub verdicts: usize,

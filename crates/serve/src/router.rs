@@ -61,8 +61,8 @@ use std::time::Duration;
 
 use crate::cluster::ShardMap;
 use crate::merge;
-use crate::protocol::{read_frame_into, Request, Response, TraceSpan};
-use crate::server::{history_report, is_timeout, wire_span, ConnSlots, SlotGuard};
+use crate::protocol::{read_frame_into, Request, Response};
+use crate::server::{accept_loop, history_report, is_timeout, rank_spans};
 use crate::wire::{self, RoutePeek, WireFormat};
 use geosocial_obs::trace::{self, SpanRecord, TraceContext};
 
@@ -103,17 +103,10 @@ pub struct RouterConfig {
     pub shards: Vec<SocketAddr>,
     /// Client-side idle read timeout (`None` = wait forever).
     pub read_timeout: Option<Duration>,
-    /// Client-side write timeout.
+    /// Client-side write timeout (shard links use it too).
     pub write_timeout: Option<Duration>,
-    /// Read timeout on shard links. `None` (the default) is deliberate:
-    /// a dead shard process yields EOF/reset promptly anyway, and a
-    /// timeout would misread a genuinely slow drain as a failure.
-    pub shard_read_timeout: Option<Duration>,
     /// Concurrent client connections serviced at once.
     pub max_connections: usize,
-    /// Per-link in-flight frame cap (inbox + written-but-unanswered);
-    /// the forwarder blocks past it, bounding replay cost.
-    pub pending_cap: usize,
     /// Reconnect budget per link outage.
     pub connect_attempts: u32,
     /// Pause between reconnect attempts.
@@ -126,14 +119,16 @@ impl Default for RouterConfig {
             shards: Vec::new(),
             read_timeout: None,
             write_timeout: None,
-            shard_read_timeout: None,
             max_connections: 256,
-            pending_cap: 1024,
             connect_attempts: 40,
             connect_backoff: Duration::from_millis(250),
         }
     }
 }
+
+/// Per-link in-flight frame cap (inbox + written-but-unanswered): the
+/// forwarder blocks past it, bounding replay cost.
+const PENDING_CAP: usize = 1024;
 
 /// Process-wide router state shared by every connection.
 struct Shared {
@@ -223,10 +218,12 @@ fn framed(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// Dial a shard process. Links have no read timeout: a dead shard
+/// process yields EOF/reset promptly anyway, and a timeout would misread
+/// a genuinely slow drain as a failure.
 fn connect_shard(addr: SocketAddr, config: &RouterConfig) -> io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(config.shard_read_timeout)?;
     stream.set_write_timeout(config.write_timeout)?;
     Ok(stream)
 }
@@ -280,15 +277,15 @@ fn kick_links(shared: &Shared, idx: usize) {
     }
 }
 
-/// Queue a frame on a link, honoring the in-flight cap. Returns false
-/// when the link died or the connection is closing.
-fn push_frame(link: &Link, frame: Vec<u8>, conn: &ConnCtl, cap: usize) -> bool {
+/// Queue a frame on a link, honoring [`PENDING_CAP`]. Returns false when
+/// the link died or the connection is closing.
+fn push_frame(link: &Link, frame: Vec<u8>, conn: &ConnCtl) -> bool {
     let mut state = link.state.lock().expect("link lock");
     loop {
         if conn.closing() || state.dead {
             return false;
         }
-        if state.inbox.len() + state.unacked.len() < cap {
+        if state.inbox.len() + state.unacked.len() < PENDING_CAP {
             break;
         }
         let (guard, _) = link.cv.wait_timeout(state, Duration::from_millis(50)).expect("link lock");
@@ -467,20 +464,8 @@ fn link_recv(conn: &ConnCtl, idx: usize) -> io::Result<Vec<u8>> {
 /// `router.*` spans are reported so a co-located in-process server (as
 /// in the experiments) is not double-counted.
 fn router_traces_reply(trace_id: Option<u128>, path: Option<&str>) -> Response {
-    let mut by_trace: HashMap<String, Vec<TraceSpan>> = HashMap::new();
-    for span in trace::collector().spans() {
-        if !span.name.starts_with("router.") {
-            continue;
-        }
-        if trace_id.is_some_and(|id| id != span.trace_id) {
-            continue;
-        }
-        by_trace.entry(trace::trace_hex(span.trace_id)).or_default().push(wire_span(span));
-    }
-    if let Some(p) = path {
-        by_trace.retain(|_, spans| spans.iter().any(|s| s.name.contains(p)));
-    }
-    Response::Traces { traces: merge::rank_traces(by_trace, 0) }
+    let spans = trace::collector().spans().into_iter().filter(|s| s.name.starts_with("router."));
+    Response::Traces { traces: rank_spans(spans, trace_id, path, 0) }
 }
 
 /// Merge shard `Metrics` texts: the router's registry first, then each
@@ -644,7 +629,7 @@ fn broadcast(
     let frame = framed(payload);
     for &idx in &targets {
         let link = get_link(conn, shared, idx)?;
-        if !push_frame(&link, frame.clone(), conn, shared.config.pending_cap) {
+        if !push_frame(&link, frame.clone(), conn) {
             return Err(io::Error::new(io::ErrorKind::ConnectionAborted, "link failed"));
         }
     }
@@ -697,7 +682,7 @@ fn forward_loop(
                     continue;
                 };
                 let link = get_link(conn, shared, idx)?;
-                if !push_frame(&link, framed(payload), conn, shared.config.pending_cap) {
+                if !push_frame(&link, framed(payload), conn) {
                     return Err(io::Error::new(io::ErrorKind::ConnectionAborted, "link failed"));
                 }
                 owed_tx
@@ -903,76 +888,22 @@ pub fn run_with(listener: TcpListener, config: RouterConfig) -> io::Result<()> {
         shutdown: AtomicBool::new(false),
         links: Mutex::new(Vec::new()),
     });
-    let slots = Arc::new(ConnSlots::new(shared.config.max_connections, "router.connections"));
-
-    // Same 1 Hz metrics-history ticker as the shard server, so
+    // The same 1 Hz metrics-history tick as the shard server, so
     // `MetricsHistory` through the router answers with router rates. The
     // link queue depths are sampled right before each capture, landing
     // the gauges in the same ring row as the frame-rate counters.
-    let tick_stop = Arc::new(AtomicBool::new(false));
-    record_link_depths(&shared);
-    geosocial_obs::history_tick();
-    let ticker = {
-        let stop = Arc::clone(&tick_stop);
+    let tick = {
         let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("geosocial-router-history".into())
-            .spawn(move || {
-                let tick = Duration::from_millis(100);
-                let mut elapsed = Duration::ZERO;
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    elapsed += tick;
-                    if elapsed >= Duration::from_secs(1) {
-                        elapsed = Duration::ZERO;
-                        record_link_depths(&shared);
-                        geosocial_obs::history_tick();
-                    }
-                }
-            })
-            .expect("spawn history thread")
+        move || {
+            record_link_depths(&shared);
+            geosocial_obs::history_tick();
+        }
     };
-
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if !slots.acquire(&shared.shutdown) {
-            break;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) => {
-                slots.release();
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                geosocial_obs::warn!("router", "accept failed: {e}");
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            slots.release();
-            break;
-        }
+    let handle = {
         let shared = Arc::clone(&shared);
-        let guard = SlotGuard(Arc::clone(&slots));
-        let spawned =
-            std::thread::Builder::new().name("geosocial-router-conn".into()).spawn(move || {
-                let _guard = guard;
-                if let Err(e) = handle_client(stream, shared, self_addr) {
-                    metrics::conn_errors().inc();
-                    geosocial_obs::debug!("router", "connection dropped: {e}");
-                }
-            });
-        if spawned.is_err() {
-            geosocial_obs::warn!("router", "could not spawn a connection handler");
-        }
-    }
-    drop(listener);
-    tick_stop.store(true, Ordering::SeqCst);
-    let _ = ticker.join();
-    slots.wait_idle();
+        move |stream| handle_client(stream, Arc::clone(&shared), self_addr)
+    };
+    accept_loop(listener, "router", shared.config.max_connections, &shared.shutdown, tick, handle);
     geosocial_obs::info!("router", "router stopped"; addr = self_addr.to_string());
     io::stderr().flush().ok();
     Ok(())

@@ -62,18 +62,16 @@
 //! exposes no signal API — so `drain`/`stats`/`shutdown` requests are the
 //! supported ways to quiesce a live server.)
 
-use geosocial_core::classify::ClassifyConfig;
-use geosocial_core::matching::MatchConfig;
 use geosocial_fault::FaultPlan;
 use geosocial_geo::LatLon;
 use geosocial_obs::trace::{
-    now_us, promote_flags, task_end, task_mark, task_span, SpanRecord, TraceContext, FLAG_DEDUP,
-    FLAG_RECOVERY, FLAG_RETRY,
+    now_us, promote_flags, task_end, task_mark, task_span, SpanRecord, TraceContext,
+    DEFAULT_SLOW_US, FLAG_DEDUP, FLAG_RECOVERY, FLAG_RETRY,
 };
 use geosocial_obs::{counter, gauge, Counter, Gauge, Stopwatch};
 use geosocial_store::{EventStore, StoreOptions, SENTINEL_USER};
 use geosocial_stream::{AuditConfig, AuditVerdict, OnlineAuditor, StreamComposition};
-use geosocial_trace::{Checkin, GpsPoint, PoiCategory, UserId, VisitConfig};
+use geosocial_trace::{Checkin, GpsPoint, PoiCategory, UserId};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::iter;
@@ -114,7 +112,6 @@ mod metrics {
     cached!(duplicates, counter, Counter, "serve.duplicates");
     cached!(recoveries, counter, Counter, "serve.recoveries");
     cached!(conn_timeouts, counter, Counter, "serve.conn.timeouts");
-    cached!(conn_errors, counter, Counter, "serve.conn.errors");
     cached!(drains, counter, Counter, "serve.drains");
     cached!(latency_hello, histogram, Histogram, "serve.latency_us.hello");
     cached!(latency_gps, histogram, Histogram, "serve.latency_us.gps");
@@ -187,26 +184,15 @@ fn queue_gauge(shard: usize) -> Arc<Gauge> {
     gauge(&format!("serve.shard.{shard}.queue"))
 }
 
-/// Server-side knobs: shard count, the audit thresholds applied to every
-/// user (the projection origin arrives with the client `Hello`), and the
-/// robustness knobs (timeouts, backpressure, checkpoint cadence, fault
-/// plan).
+/// Server-side knobs: shard count and the robustness knobs (timeouts,
+/// backpressure, checkpoint cadence, fault plan). There are no audit
+/// knobs: every shard audits with the paper's thresholds,
+/// [`AuditConfig::paper`] at the origin the client's `Hello` fixes, so a
+/// shard's configuration is a function of its stored origin alone.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker shards owning per-user state.
     pub shards: usize,
-    /// Allowed event-time lateness, seconds (0 = in-order ingest expected).
-    pub allowed_lateness_s: i64,
-    /// Per-user pending-checkin budget.
-    pub max_pending_checkins: usize,
-    /// Per-user pending-fix budget.
-    pub max_pending_fixes: usize,
-    /// α/β matching thresholds.
-    pub match_config: MatchConfig,
-    /// §5.1 classification thresholds.
-    pub classify: ClassifyConfig,
-    /// Stay-point detection rules.
-    pub visit: VisitConfig,
     /// When set, a background thread writes the metrics exposition text to
     /// stderr every this many seconds until shutdown.
     pub metrics_every_s: Option<u64>,
@@ -225,7 +211,7 @@ pub struct ServerConfig {
     pub snapshot_every: usize,
     /// Event-store root. Each shard logs and snapshots under
     /// `<store_dir>/shard-N/`; reopening a server on the same directory
-    /// (and config) restores the audited state. `None` = an ephemeral
+    /// restores the audited state. `None` = an ephemeral
     /// per-process directory under the system temp dir, removed at
     /// shutdown.
     pub store_dir: Option<PathBuf>,
@@ -243,24 +229,12 @@ pub struct ServerConfig {
     /// given non-zero rates). The server consults only the shard-kill
     /// entry; frame faults are client-side.
     pub fault: FaultPlan,
-    /// Tail-sampling latency threshold, µs: a traced request whose
-    /// end-to-end handling takes at least this long is promoted to
-    /// "always keep" ([`geosocial_obs::trace::FLAG_SLOW`]) even if it was
-    /// not head-sampled. 0 disables the latency rule.
-    pub trace_slow_us: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let template = AuditConfig::paper(LatLon::new(0.0, 0.0));
         Self {
             shards: 4,
-            allowed_lateness_s: 0,
-            max_pending_checkins: template.max_pending_checkins,
-            max_pending_fixes: template.max_pending_fixes,
-            match_config: template.match_config,
-            classify: template.classify,
-            visit: template.visit,
             metrics_every_s: None,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
@@ -270,22 +244,7 @@ impl Default for ServerConfig {
             segment_bytes: 4 * 1024 * 1024,
             flush_bytes: geosocial_store::FLUSH_THRESHOLD,
             fault: FaultPlan::none(),
-            trace_slow_us: geosocial_obs::trace::DEFAULT_SLOW_US,
         }
-    }
-}
-
-impl ServerConfig {
-    /// The audit configuration shards apply once a `Hello` fixes `origin`.
-    pub(crate) fn audit_config(&self, origin: LatLon) -> AuditConfig {
-        let mut cfg = AuditConfig::paper(origin);
-        cfg.match_config = self.match_config;
-        cfg.classify = self.classify;
-        cfg.visit = self.visit;
-        cfg.allowed_lateness_s = self.allowed_lateness_s;
-        cfg.max_pending_checkins = self.max_pending_checkins;
-        cfg.max_pending_fixes = self.max_pending_fixes;
-        cfg
     }
 }
 
@@ -591,7 +550,7 @@ impl ShardState {
                 }
                 Some(_) => Response::Ok,
                 None => {
-                    self.audit = Some(config.audit_config(*origin));
+                    self.audit = Some(AuditConfig::paper(*origin));
                     if let Some(st) = store.as_deref_mut() {
                         let mut buf = Vec::new();
                         crate::snapshot::hello_payload(&mut buf, *origin);
@@ -951,11 +910,12 @@ fn shard_worker(
         if traced {
             task_span("serve.ack", ack_t0, now_us().saturating_sub(ack_t0), 0);
             // Close the task: tail-promote on the end-to-end handling
-            // time, fold the trace-level flags into every span, then
+            // time (the fixed slow-trace rule the load generator applies
+            // too), fold the trace-level flags into every span, then
             // persist to the trace stream and the in-process collector.
             let (flags, mut spans) = task_end();
             let root_dur = now_us().saturating_sub(recv_us);
-            let flags = promote_flags(flags, root_dur, config.trace_slow_us);
+            let flags = promote_flags(flags, root_dur, DEFAULT_SLOW_US);
             for s in &mut spans {
                 s.flags |= flags;
             }
@@ -1026,55 +986,49 @@ fn traces_response(
         Ok(records) => records,
         Err(e) => return Response::Error { message: format!("trace stream unreadable: {e}") },
     };
-    let mut by_trace: HashMap<u128, Vec<SpanRecord>> = HashMap::new();
-    for rec in &records {
-        match crate::snapshot::decode_span(rec) {
-            Ok(span) => {
-                if trace_id.is_some_and(|id| id != span.trace_id) {
-                    continue;
-                }
-                by_trace.entry(span.trace_id).or_default().push(span);
-            }
-            Err(e) => {
-                geosocial_obs::warn!("serve", "skipping undecodable span record";
-                    lsn = rec.lsn, cause = format!("{e}"));
-            }
+    let spans = records.iter().filter_map(|rec| match crate::snapshot::decode_span(rec) {
+        Ok(span) => Some(span),
+        Err(e) => {
+            geosocial_obs::warn!("serve", "skipping undecodable span record";
+                lsn = rec.lsn, cause = format!("{e}"));
+            None
         }
-    }
-    let mut dumps: Vec<TraceDump> = by_trace
-        .into_iter()
-        .filter(|(_, spans)| match path {
-            Some(p) => spans.iter().any(|s| s.name.contains(p)),
-            None => true,
-        })
-        .map(|(id, spans)| dump_of(id, spans))
-        .collect();
-    dumps.sort_by(|a, b| b.root_dur_us.cmp(&a.root_dur_us).then(a.trace_id.cmp(&b.trace_id)));
+    });
     // Bound the per-shard answer: `slowest` when asked, a hard ceiling
     // otherwise — the merged response must stay under the frame limit.
     let cap = if slowest == 0 { 256 } else { slowest };
-    dumps.truncate(cap);
-    Response::Traces { traces: dumps }
+    Response::Traces { traces: rank_spans(spans, trace_id, path, cap) }
 }
 
-/// Group one trace's spans into the wire form, ordered by start time.
-/// `root_dur_us` is the trace's extent on this shard (earliest start to
-/// latest end) — equal to the root span's duration once merged, since the
-/// synthesized `client.send` leg starts at the root's start stamp.
-fn dump_of(id: u128, mut spans: Vec<SpanRecord>) -> TraceDump {
-    spans.sort_by_key(|s| (s.start_us, s.span_id));
-    let t0 = spans.iter().map(|s| s.start_us).min().unwrap_or(0);
-    let t1 = spans.iter().map(|s| s.start_us.saturating_add(s.dur_us)).max().unwrap_or(0);
-    TraceDump {
-        trace_id: geosocial_obs::trace::trace_hex(id),
-        root_dur_us: t1.saturating_sub(t0),
-        spans: spans.into_iter().map(wire_span).collect(),
+/// Group spans into traces — only trace `trace_id` when given, only the
+/// traces with a span whose name contains `path` when given — and rank
+/// them with [`crate::merge::rank_traces`]. A trace's `root_dur_us` is its
+/// extent among these spans (earliest start to latest end), equal to the
+/// root span's duration once merged, since the synthesized `client.send`
+/// leg starts at the root's start stamp.
+pub(crate) fn rank_spans(
+    spans: impl IntoIterator<Item = SpanRecord>,
+    trace_id: Option<u128>,
+    path: Option<&str>,
+    slowest: usize,
+) -> Vec<TraceDump> {
+    let mut by_trace: HashMap<String, Vec<TraceSpan>> = HashMap::new();
+    for span in spans {
+        if trace_id.is_some_and(|id| id != span.trace_id) {
+            continue;
+        }
+        let span = wire_span(span);
+        by_trace.entry(span.trace_id.clone()).or_default().push(span);
     }
+    if let Some(p) = path {
+        by_trace.retain(|_, spans| spans.iter().any(|s| s.name.contains(p)));
+    }
+    crate::merge::rank_traces(by_trace, slowest)
 }
 
 /// One span in protocol form (trace id as 32-hex — the vendored serde has
 /// no u128 support, and hex ids are what operators grep anyway).
-pub(crate) fn wire_span(s: SpanRecord) -> TraceSpan {
+fn wire_span(s: SpanRecord) -> TraceSpan {
     TraceSpan {
         trace_id: geosocial_obs::trace::trace_hex(s.trace_id),
         span_id: s.span_id,
@@ -1118,7 +1072,7 @@ fn apply_guarded(
 /// `apply` is deterministic.
 fn restore_shard(shard: usize, store: &EventStore, config: &ServerConfig) -> ShardState {
     let mut state = match store.snapshot_state() {
-        Some(bytes) => match crate::snapshot::decode_state(bytes, config) {
+        Some(bytes) => match crate::snapshot::decode_state(bytes) {
             Ok(state) => state,
             Err(e) => {
                 geosocial_obs::error!("serve", "shard snapshot undecodable, starting empty";
@@ -1164,7 +1118,7 @@ fn after_finish() -> Response {
 /// blocks in [`ConnSlots::acquire`] while `max` handlers are live, and
 /// shutdown waits in [`ConnSlots::wait_idle`] for the last handler to
 /// finish (handlers are detached threads; the slot count is the join).
-pub(crate) struct ConnSlots {
+struct ConnSlots {
     max: usize,
     active: Mutex<usize>,
     cv: Condvar,
@@ -1172,17 +1126,8 @@ pub(crate) struct ConnSlots {
 }
 
 impl ConnSlots {
-    pub(crate) fn new(max: usize, gauge_name: &'static str) -> Self {
-        Self {
-            max: max.max(1),
-            active: Mutex::new(0),
-            cv: Condvar::new(),
-            gauge: gauge(gauge_name),
-        }
-    }
-
     /// Take a slot; returns `false` if shutdown began while waiting.
-    pub(crate) fn acquire(&self, shutdown: &AtomicBool) -> bool {
+    fn acquire(&self, shutdown: &AtomicBool) -> bool {
         let mut active = self.active.lock().expect("slots lock");
         while *active >= self.max {
             if shutdown.load(Ordering::SeqCst) {
@@ -1197,7 +1142,7 @@ impl ConnSlots {
         true
     }
 
-    pub(crate) fn release(&self) {
+    fn release(&self) {
         let mut active = self.active.lock().expect("slots lock");
         *active = active.saturating_sub(1);
         self.gauge.dec();
@@ -1205,7 +1150,7 @@ impl ConnSlots {
     }
 
     /// Block until every handler has released its slot.
-    pub(crate) fn wait_idle(&self) {
+    fn wait_idle(&self) {
         let mut active = self.active.lock().expect("slots lock");
         while *active > 0 {
             let (guard, _) =
@@ -1216,12 +1161,115 @@ impl ConnSlots {
 }
 
 /// RAII slot release for a handler thread.
-pub(crate) struct SlotGuard(pub(crate) Arc<ConnSlots>);
+struct SlotGuard(Arc<ConnSlots>);
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
         self.0.release();
     }
+}
+
+/// The accept loop both serving tiers run (`tier` is `"serve"` or
+/// `"router"`: the log target and the prefix of the `<tier>.connections`
+/// gauge and `<tier>.conn.errors` counter). Accepts on `listener` until
+/// `shutdown` is set — whoever sets it self-connects to unblock `accept`
+/// — serving each connection with `handle` on its own thread. Bounded
+/// backpressure: a handler slot is taken before accepting, so at most
+/// `max_connections` connections are serviced at once and the kernel
+/// backlog takes the overflow. `tick` runs once up front and then every
+/// second on a ticker thread until the loop ends (the metrics-history
+/// ring, plus whatever the tier samples into it). Returns once every
+/// handler has finished.
+pub(crate) fn accept_loop<H>(
+    listener: TcpListener,
+    tier: &'static str,
+    max_connections: usize,
+    shutdown: &AtomicBool,
+    mut tick: impl FnMut() + Send + 'static,
+    handle: H,
+) where
+    H: Fn(TcpStream) -> io::Result<()> + Send + Sync + 'static,
+{
+    let slots = Arc::new(ConnSlots {
+        max: max_connections.max(1),
+        active: Mutex::new(0),
+        cv: Condvar::new(),
+        gauge: gauge(&format!("{tier}.connections")),
+    });
+    let conn_errors = counter(&format!("{tier}.conn.errors"));
+    let handle = Arc::new(handle);
+
+    tick();
+    let ticker_stop = Arc::new(AtomicBool::new(false));
+    let ticker = {
+        let stop = Arc::clone(&ticker_stop);
+        std::thread::Builder::new()
+            .name(format!("geosocial-{tier}-ticker"))
+            .spawn(move || {
+                let mut ticks = 0u64;
+                while !stop.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(100));
+                    ticks += 1;
+                    if ticks.is_multiple_of(10) {
+                        tick();
+                    }
+                }
+            })
+            .expect("spawn ticker thread")
+    };
+
+    loop {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        if !slots.acquire(shutdown) {
+            break; // shutdown began while the tier was at capacity
+        }
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) => {
+                slots.release();
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                geosocial_obs::warn!(tier, "accept failed: {e}");
+                continue;
+            }
+        };
+        if shutdown.load(Ordering::SeqCst) {
+            slots.release();
+            break;
+        }
+        let guard = SlotGuard(Arc::clone(&slots));
+        let handle = Arc::clone(&handle);
+        let conn_errors = Arc::clone(&conn_errors);
+        let spawned =
+            std::thread::Builder::new().name(format!("geosocial-{tier}-conn")).spawn(move || {
+                let _guard = guard; // released when the handler exits
+                let result = handle(stream);
+                // Release the handler's captures (the server's shard
+                // senders) before the slot: once every slot is free, only
+                // this loop still holds them.
+                drop(handle);
+                if let Err(e) = result {
+                    // Peers hanging up mid-frame is routine under churn (and
+                    // constant under fault injection): count it, log it
+                    // quietly.
+                    conn_errors.inc();
+                    geosocial_obs::debug!(tier, "connection dropped: {e}");
+                }
+            });
+        if spawned.is_err() {
+            // The guard moved into the closure that never ran; the slot
+            // was released by its drop. Nothing else to undo.
+            geosocial_obs::warn!(tier, "could not spawn a connection handler");
+        }
+    }
+    drop(listener);
+    ticker_stop.store(true, Ordering::SeqCst);
+    let _ = ticker.join();
+    // Handlers are detached; the slot count is their join.
+    slots.wait_idle();
 }
 
 /// True when an I/O error is an idle-timeout expiry rather than a peer
@@ -1231,14 +1279,16 @@ pub(crate) fn is_timeout(e: &io::Error) -> bool {
 }
 
 /// Per-connection handler: frames in, frames out, strictly 1:1 in order.
+/// `queries` is the server-wide count of queries served, which a `Stats`
+/// answer reports.
 fn handle_conn(
     stream: TcpStream,
     config: &ServerConfig,
-    shards: Vec<mpsc::Sender<ShardMsg>>,
-    shutdown: Arc<AtomicBool>,
+    shards: &[mpsc::Sender<ShardMsg>],
+    shutdown: &AtomicBool,
     self_addr: SocketAddr,
-    queries: Arc<AtomicUsize>,
-    queues: Arc<Vec<Arc<Gauge>>>,
+    queries: &AtomicUsize,
+    queues: &[Arc<Gauge>],
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(config.read_timeout)?;
@@ -1340,10 +1390,15 @@ fn handle_conn(
                         tx.send(ShardMsg { cmd: cmd.clone(), ctx: None, reply: reply_tx.clone() });
                 }
                 let replies = replies(&reply_rx, n);
-                match slowest {
+                let mut resp = match slowest {
                     Some(slowest) => crate::merge::merge_trace_responses(replies, slowest),
                     None => crate::merge::merge_responses(replies),
+                };
+                // Shards count events; the handlers count queries.
+                if let Response::Stats { stats } = &mut resp {
+                    stats.queries = queries.load(Ordering::Relaxed);
                 }
+                resp
             }
             // Metrics and history are served here, never routed: a scrape
             // must stay cheap and answerable even while every shard queue
@@ -1460,9 +1515,7 @@ pub fn run_with(listener: TcpListener, config: ServerConfig) -> io::Result<Serve
     let self_addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let queries = Arc::new(AtomicUsize::new(0));
-    let queues: Arc<Vec<Arc<Gauge>>> =
-        Arc::new((0..config.shards.max(1)).map(queue_gauge).collect());
-    let slots = Arc::new(ConnSlots::new(config.max_connections, "serve.connections"));
+    let queues: Vec<Arc<Gauge>> = (0..config.shards.max(1)).map(queue_gauge).collect();
 
     // Event-store root: the configured directory, or an ephemeral
     // per-process one (unique even across servers in one process) that is
@@ -1494,88 +1547,29 @@ pub fn run_with(listener: TcpListener, config: ServerConfig) -> io::Result<Serve
         shard_txs.push(tx);
     }
 
-    // Metrics ticker: snapshot the registry into the obs history ring once
-    // a second for as long as the server runs, so `MetricsHistory` can
-    // answer with rates (one tick lands immediately so the ring is never
-    // empty), and — when `metrics_every_s` is set — dump the whole
-    // registry to stderr on that cadence, for operators who tail the log
-    // instead of polling `Metrics`.
-    let ticker_stop = Arc::new(AtomicBool::new(false));
-    geosocial_obs::history_tick();
-    let ticker = {
-        let stop = Arc::clone(&ticker_stop);
-        let expo_every_s = config.metrics_every_s.map(|s| s.max(1));
-        std::thread::Builder::new()
-            .name("geosocial-ticker".into())
-            .spawn(move || {
-                let mut ticks = 0u64;
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(100));
-                    ticks += 1;
-                    if !ticks.is_multiple_of(10) {
-                        continue;
-                    }
-                    geosocial_obs::history_tick();
-                    if expo_every_s.is_some_and(|every| (ticks / 10).is_multiple_of(every)) {
-                        geosocial_obs::info!("serve", "periodic metrics exposition");
-                        eprint!("{}", geosocial_obs::render_text());
-                        io::stderr().flush().ok();
-                    }
-                }
-            })
-            .expect("spawn metrics ticker thread")
+    // Ticker: snapshot the registry into the obs history ring once a
+    // second, so `MetricsHistory` can answer with rates (the first tick
+    // lands at once, so the ring is never empty), and — when
+    // `metrics_every_s` is set — dump the whole registry to stderr on that
+    // cadence, for operators who tail the log instead of polling `Metrics`.
+    let expo_every_s = config.metrics_every_s.map(|s| s.max(1));
+    let mut secs = 0u64;
+    let tick = move || {
+        geosocial_obs::history_tick();
+        if expo_every_s.is_some_and(|every| secs > 0 && secs.is_multiple_of(every)) {
+            geosocial_obs::info!("serve", "periodic metrics exposition");
+            eprint!("{}", geosocial_obs::render_text());
+            io::stderr().flush().ok();
+        }
+        secs += 1;
     };
-
-    // Accept loop: bounded backpressure — take a handler slot before
-    // accepting, so at most `max_connections` are ever serviced at once.
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if !slots.acquire(&shutdown) {
-            break; // shutdown began while the server was at capacity
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) => {
-                slots.release();
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                geosocial_obs::warn!("serve", "accept failed: {e}");
-                continue;
-            }
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            slots.release();
-            break;
-        }
-        let cfg = Arc::clone(&config);
+    let handle = {
+        let (config, shutdown, queries) =
+            (Arc::clone(&config), Arc::clone(&shutdown), Arc::clone(&queries));
         let shards = shard_txs.clone();
-        let flag = Arc::clone(&shutdown);
-        let q = Arc::clone(&queries);
-        let qs = Arc::clone(&queues);
-        let guard = SlotGuard(Arc::clone(&slots));
-        let spawned = std::thread::Builder::new().name("geosocial-conn".into()).spawn(move || {
-            let _guard = guard; // released when the handler exits
-            if let Err(e) = handle_conn(stream, &cfg, shards, flag, self_addr, q, qs) {
-                // Peers hanging up mid-frame is routine under churn (and
-                // constant under fault injection): count it, log it quietly.
-                metrics::conn_errors().inc();
-                geosocial_obs::debug!("serve", "connection dropped: {e}");
-            }
-        });
-        if spawned.is_err() {
-            // The guard moved into the closure that never ran; the slot
-            // was released by its drop. Nothing else to undo.
-            geosocial_obs::warn!("serve", "could not spawn a connection handler");
-        }
-    }
-    drop(listener);
-    ticker_stop.store(true, Ordering::SeqCst);
-    let _ = ticker.join();
-    // Handlers are detached; the slot count is their join.
-    slots.wait_idle();
+        move |stream| handle_conn(stream, &config, &shards, &shutdown, self_addr, &queries, &queues)
+    };
+    accept_loop(listener, "serve", config.max_connections, &shutdown, tick, handle);
 
     // Collect final stats, then let the workers exit.
     let (reply_tx, reply_rx) = mpsc::channel::<Response>();

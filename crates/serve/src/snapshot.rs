@@ -17,7 +17,9 @@
 //!   in the event store's compacted snapshot files. The auditors export
 //!   through `geosocial-stream`'s plain-data state
 //!   ([`geosocial_stream::snapshot`]), which omits everything derivable
-//!   from configuration; a decoded shard continues **bit-identically**
+//!   from configuration. A served shard's configuration is
+//!   `AuditConfig::paper` at its stored origin, so the snapshot alone
+//!   determines it, and a decoded shard continues **bit-identically**
 //!   (restored locals are re-derived through the same projection).
 //!
 //! Both codecs are versioned with a leading byte so a future layout change
@@ -28,14 +30,13 @@ use geosocial_store::{
     put_bytes, put_f64, put_varint, put_zigzag, CodecError, Reader, StoredRecord,
 };
 use geosocial_stream::snapshot::{
-    AuditorState, DetectorState, HeldEventState, PendingCheckinState, ReorderState, StageState,
-    TrackedVisitState,
+    AuditorState, DetectorState, PendingCheckinState, StageState, TrackedVisitState,
 };
-use geosocial_stream::{OnlineAuditor, StreamComposition};
+use geosocial_stream::{AuditConfig, OnlineAuditor, StreamComposition};
 use geosocial_trace::{Checkin, GpsPoint, PoiCategory, Provenance, Timestamp, Visit};
 
 use crate::protocol::{Request, ShardStats};
-use crate::server::{ServerConfig, ShardState};
+use crate::server::ShardState;
 use crate::wire::{bad, put_verdict, read_verdict};
 
 /// Snapshot layout version (leading byte of every encoded shard state).
@@ -394,31 +395,10 @@ fn put_auditor(out: &mut Vec<u8>, a: &AuditorState) {
     }
     put_varint(out, a.checkin_count as u64);
     put_zigzag(out, a.frontier);
-    match &a.reorder {
-        Some(ro) => {
-            out.push(1);
-            put_varint(out, ro.held.len() as u64);
-            for (t, seq, ev) in &ro.held {
-                put_zigzag(out, *t);
-                put_varint(out, *seq);
-                match ev {
-                    HeldEventState::Gps(p) => {
-                        out.push(0);
-                        put_point(out, p);
-                    }
-                    HeldEventState::Checkin(c) => {
-                        out.push(1);
-                        put_checkin(out, c);
-                    }
-                }
-            }
-            put_varint(out, ro.next_seq);
-            put_opt_t(out, ro.watermark);
-            put_opt_t(out, ro.released);
-            put_varint(out, ro.late_dropped as u64);
-        }
-        None => out.push(0),
-    }
+    // The lateness-buffer flag: always 0, since a served auditor runs
+    // `AuditConfig::paper`, which has no lateness buffer.
+    assert!(a.reorder.is_none(), "served auditors hold no lateness buffer");
+    out.push(0);
     put_varint(out, a.verdicts.len() as u64);
     for v in &a.verdicts {
         put_verdict(out, v);
@@ -460,29 +440,10 @@ fn read_auditor(r: &mut Reader<'_>) -> Result<AuditorState, CodecError> {
     }
     let checkin_count = usize_field(r)?;
     let frontier = r.zigzag()?;
-    let reorder = if read_bool(r)? {
-        let n = usize_field(r)?;
-        let mut held = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let t = r.zigzag()?;
-            let seq = r.varint()?;
-            let ev = match r.byte()? {
-                0 => HeldEventState::Gps(read_point(r)?),
-                1 => HeldEventState::Checkin(read_checkin(r)?),
-                other => return Err(bad(r.pos(), format!("unknown held event kind {other}"))),
-            };
-            held.push((t, seq, ev));
-        }
-        Some(ReorderState {
-            held,
-            next_seq: r.varint()?,
-            watermark: read_opt_t(r)?,
-            released: read_opt_t(r)?,
-            late_dropped: usize_field(r)?,
-        })
-    } else {
-        None
-    };
+    let at = r.pos();
+    if r.byte()? != 0 {
+        return Err(bad(at, "snapshot holds a lateness buffer; served auditors have none"));
+    }
     let n = usize_field(r)?;
     let mut verdicts = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
@@ -498,7 +459,7 @@ fn read_auditor(r: &mut Reader<'_>) -> Result<AuditorState, CodecError> {
         pending,
         checkin_count,
         frontier,
-        reorder,
+        reorder: None,
         verdicts,
         comp: read_comp(r)?,
         finished: read_bool(r)?,
@@ -542,10 +503,8 @@ pub(crate) fn encode_state(state: &ShardState) -> Vec<u8> {
 }
 
 /// Rebuild a shard from [`encode_state`] bytes. The audit configuration
-/// is reconstructed from `config` plus the stored origin — the same
-/// contract the stream-layer restore relies on (config must match the
-/// snapshotting server's).
-pub(crate) fn decode_state(bytes: &[u8], config: &ServerConfig) -> Result<ShardState, CodecError> {
+/// is `AuditConfig::paper` at the stored origin, as at `Hello`.
+pub(crate) fn decode_state(bytes: &[u8]) -> Result<ShardState, CodecError> {
     let mut r = Reader::new(bytes);
     let version = r.byte()?;
     if version != STATE_VERSION {
@@ -556,7 +515,7 @@ pub(crate) fn decode_state(bytes: &[u8], config: &ServerConfig) -> Result<ShardS
     state.finished = read_bool(&mut r)?;
     if read_bool(&mut r)? {
         let origin = LatLon::new(r.f64()?, r.f64()?);
-        state.audit = Some(config.audit_config(origin));
+        state.audit = Some(AuditConfig::paper(origin));
     }
     state.stats = ShardStats {
         shard,
@@ -589,11 +548,11 @@ pub(crate) fn decode_state(bytes: &[u8], config: &ServerConfig) -> Result<ShardS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ShardCmd;
+    use crate::server::{ServerConfig, ShardCmd};
     use geosocial_store::SENTINEL_USER;
 
-    fn seeded_state(lateness_s: i64) -> (ShardState, ServerConfig) {
-        let config = ServerConfig { allowed_lateness_s: lateness_s, ..ServerConfig::default() };
+    fn seeded_state() -> ShardState {
+        let config = ServerConfig::default();
         let mut st = ShardState::new(2);
         let origin = LatLon::new(34.42, -119.86);
         st.apply(&ShardCmd::SetOrigin { origin }, &config, None, None);
@@ -613,26 +572,53 @@ mod tests {
             provenance: None,
         };
         st.apply(&ShardCmd::Checkin { user: 7, seq, checkin }, &config, None, None);
-        (st, config)
+        st
     }
 
     #[test]
     fn shard_state_roundtrips_byte_stably() {
-        for lateness in [0, 600] {
-            let (st, config) = seeded_state(lateness);
-            let bytes = encode_state(&st);
-            let decoded = decode_state(&bytes, &config).expect("decodes");
-            // Byte-stable: re-encoding the decoded state reproduces the
-            // exact snapshot, so restore lost nothing.
-            assert_eq!(encode_state(&decoded), bytes, "lateness {lateness}");
+        let st = seeded_state();
+        let bytes = encode_state(&st);
+        let decoded = decode_state(&bytes).expect("decodes");
+        // Byte-stable: re-encoding the decoded state reproduces the exact
+        // snapshot, so restore lost nothing.
+        assert_eq!(encode_state(&decoded), bytes);
+    }
+
+    /// A served auditor never buffers for lateness, so a snapshot whose
+    /// lateness-buffer flag is set cannot have come from a server: the
+    /// decoder refuses it at that byte instead of misreading what follows.
+    #[test]
+    fn snapshot_with_a_lateness_buffer_is_refused() {
+        let st = seeded_state();
+        let mut bytes = encode_state(&st);
+        // The flag sits just before the last auditor's tail: its verdicts,
+        // its composition and its `finished` flag.
+        let last = st.auditors.last().expect("seeded users").export_state();
+        let mut tail = Vec::new();
+        put_varint(&mut tail, last.verdicts.len() as u64);
+        for v in &last.verdicts {
+            put_verdict(&mut tail, v);
         }
+        put_comp(&mut tail, &last.comp);
+        put_bool(&mut tail, last.finished);
+        let flag = bytes.len() - tail.len() - 1;
+        assert_eq!(bytes[flag], 0, "served snapshots write the flag as 0");
+        bytes[flag] = 1;
+        let e = match decode_state(&bytes) {
+            Err(e) => e,
+            Ok(_) => panic!("a snapshot carrying a lateness buffer decoded"),
+        };
+        assert_eq!(e.offset, flag, "{e:?}");
+        assert!(e.detail.contains("lateness buffer"), "{e:?}");
     }
 
     #[test]
     fn restored_shard_continues_identically() {
-        let (mut orig, config) = seeded_state(0);
+        let config = ServerConfig::default();
+        let mut orig = seeded_state();
         let restored_bytes = encode_state(&orig);
-        let mut restored = decode_state(&restored_bytes, &config).expect("decodes");
+        let mut restored = decode_state(&restored_bytes).expect("decodes");
         // Drive both copies through the same tail of events and finishing;
         // every response must match (responses carry the verdicts).
         let tail: Vec<ShardCmd> = vec![
@@ -706,9 +692,9 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_is_a_structured_error() {
-        let (st, config) = seeded_state(0);
+        let st = seeded_state();
         let bytes = encode_state(&st);
-        let e = match decode_state(&bytes[..bytes.len() / 2], &config) {
+        let e = match decode_state(&bytes[..bytes.len() / 2]) {
             Err(e) => e,
             Ok(_) => panic!("truncated snapshot decoded"),
         };

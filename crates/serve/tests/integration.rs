@@ -247,3 +247,39 @@ fn protocol_guards_reject_bad_sessions() {
     shutdown_server(addr).expect("shutdown accepted");
     server.join().expect("server exits cleanly");
 }
+
+/// A live `Stats` answer reports the queries served so far — the `User`
+/// queries plus the `Stats` itself — as the shutdown counters do.
+#[test]
+fn live_stats_count_queries() {
+    let server = spawn(ServerConfig { shards: 2, ..ServerConfig::default() }, "127.0.0.1:0")
+        .expect("bind ephemeral port");
+    let addr = server.addr();
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut w = BufWriter::new(stream.try_clone().expect("clone"));
+    let mut r = BufReader::new(stream);
+    let mut ask = |req: &Request| -> Response {
+        write_msg(&mut w, req).expect("write");
+        w.flush().expect("flush");
+        read_msg(&mut r).expect("read").expect("response")
+    };
+
+    ask(&Request::Hello { origin_lat: 34.42, origin_lon: -119.86 });
+    ask(&Request::Gps { user: 1, seq: 0, t: 0, lat: 34.42, lon: -119.86 });
+    for _ in 0..3 {
+        match ask(&Request::User { user: 1 }) {
+            Response::Composition { .. } => {}
+            other => panic!("expected Composition, got {other:?}"),
+        }
+    }
+    match ask(&Request::Stats) {
+        Response::Stats { stats } => assert_eq!(stats.queries, 4, "three User + this Stats"),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+
+    drop(w);
+    drop(r);
+    shutdown_server(addr).expect("shutdown accepted");
+    assert_eq!(server.join().expect("server exits cleanly").queries, 4);
+}
