@@ -392,7 +392,7 @@ pub fn time_travel(_a: &Analysis, seed: u64) -> ExperimentOutput {
     let t_min = events.iter().map(StreamEvent::t).min().unwrap_or(0);
     let watermark = t_min + TIMETRAVEL_WATERMARK_DAYS * 86_400;
     let truncated = events.iter().filter(|e| e.t() <= watermark).count();
-    let expected = window_compositions(&events, &audit_cfg, None, i64::MIN, watermark);
+    let expected = window_compositions(&events, &audit_cfg, i64::MIN, watermark);
 
     let outcome = (|| -> std::io::Result<_> {
         let server = spawn(ServerConfig::default(), "127.0.0.1:0")?;

@@ -23,15 +23,21 @@ impl LatLon {
     ///
     /// # Panics
     ///
-    /// Debug-panics if `lat` is outside `[-90, 90]` or either value is NaN.
+    /// Debug-panics unless [`LatLon::is_valid`] accepts `(lat, lon)`.
     pub fn new(lat: f64, lon: f64) -> Self {
-        debug_assert!(lat.is_finite() && lon.is_finite(), "non-finite coordinate");
-        debug_assert!((-90.0..=90.0).contains(&lat), "latitude {lat} out of range");
+        debug_assert!(Self::is_valid(lat, lon), "invalid coordinate ({lat}, {lon})");
         let mut lon = (lon + 180.0).rem_euclid(360.0) - 180.0;
         if lon == -180.0 {
             lon = 180.0;
         }
         Self { lat, lon }
+    }
+
+    /// Whether [`LatLon::new`] accepts `(lat, lon)`: both values finite and
+    /// `lat` within `[-90, 90]`. Longitude is normalized, so any finite
+    /// value passes.
+    pub fn is_valid(lat: f64, lon: f64) -> bool {
+        lat.is_finite() && lon.is_finite() && (-90.0..=90.0).contains(&lat)
     }
 
     /// Great-circle distance to `other` in meters (haversine formula).

@@ -33,9 +33,9 @@
 //! ring wrap cannot evict. Layers that cannot thread a context through
 //! their API (the stream auditor, the store) use the **task buffer**: the
 //! shard worker brackets each command with [`task_begin`] / [`task_end`],
-//! and any code on that thread may attach spans or flags to the current
-//! task via [`task_mark`] / [`task_span`] / [`task_flag`] without
-//! signature changes.
+//! and any code on that thread may attach spans and their flags to the
+//! current task via [`task_mark`] / [`task_span`] without signature
+//! changes.
 //!
 //! With the `noop` feature the context types and codec helpers remain
 //! (the wire still parses traced frames) but every recording operation
@@ -66,8 +66,6 @@ pub const FLAG_RECOVERY: u8 = 0x08;
 pub const FLAG_SLOW: u8 = 0x10;
 /// The auditor force-finalized a checkin on this trace (pending budget).
 pub const FLAG_FORCED: u8 = 0x20;
-/// The auditor's reorderer buffered (held) an event on this trace.
-pub const FLAG_HELD: u8 = 0x40;
 
 /// Any flag that tail-promotes a trace to "always keep" on its own.
 pub const PROMOTE_MASK: u8 = FLAG_RETRY | FLAG_DEDUP | FLAG_RECOVERY | FLAG_SLOW | FLAG_FORCED;
@@ -349,18 +347,6 @@ pub fn task_mark(name: &str, flags: u8) {
     task_span(name, now_us(), 0, flags);
 }
 
-/// Fold `flags` into the current task's trace without adding a span.
-pub fn task_flag(flags: u8) {
-    #[cfg(feature = "noop")]
-    let _ = flags;
-    #[cfg(not(feature = "noop"))]
-    TASK.with(|t| {
-        if let Some(task) = t.borrow_mut().as_mut() {
-            task.ctx.flags |= flags;
-        }
-    });
-}
-
 /// Add a timed span to the current task. The span id derives from the
 /// task's root span and a per-task salt, so repeated names stay distinct.
 /// No-op without an active task.
@@ -426,16 +412,15 @@ fn escape_json(s: &str, out: &mut String) {
 }
 
 /// Letter code per flag bit, in bit order (`S`ampled, `R`etry, `D`edup,
-/// re`C`overy, s`L`ow, `F`orced, `H`eld).
+/// re`C`overy, s`L`ow, `F`orced).
 pub fn flag_letters(flags: u8) -> String {
-    const LETTERS: [(u8, char); 7] = [
+    const LETTERS: [(u8, char); 6] = [
         (FLAG_SAMPLED, 'S'),
         (FLAG_RETRY, 'R'),
         (FLAG_DEDUP, 'D'),
         (FLAG_RECOVERY, 'C'),
         (FLAG_SLOW, 'L'),
         (FLAG_FORCED, 'F'),
-        (FLAG_HELD, 'H'),
     ];
     let mut out = String::new();
     for (bit, letter) in LETTERS {
@@ -602,8 +587,7 @@ mod tests {
         task_begin(ctx, 3);
         assert_eq!(task_ctx().map(|c| c.trace_id), Some(ctx.trace_id));
         task_mark("serve.dedup", FLAG_DEDUP);
-        task_span("store.append", 123, 45, 0);
-        task_flag(FLAG_FORCED);
+        task_span("store.append", 123, 45, FLAG_FORCED);
         let (flags, spans) = task_end();
         assert!(flags & FLAG_DEDUP != 0 && flags & FLAG_FORCED != 0);
         assert_eq!(spans.len(), 2);

@@ -1,5 +1,5 @@
 //! `geosocial-loadgen`: replay a generated scenario against a
-//! `geosocial-serve` instance and write a `BENCH_serve.json` report
+//! `geosocial-serve` instance and write a JSON report
 //! (throughput, p50/p95/p99 latency, final server counters).
 //!
 //! With `--spawn` the load generator hosts the server itself on an
@@ -47,7 +47,7 @@ usage: geosocial-loadgen [options]
                      trace-event JSON (chrome://tracing / Perfetto)
   --drain            request a finalizing Drain (report residual state)
                      before Shutdown
-  --out PATH         report path (default BENCH_serve.json)
+  --out PATH         report path (default loadgen-report.json)
   --shutdown         send Shutdown when done (implied by --spawn)
   --help             print this message";
 
@@ -71,7 +71,7 @@ fn parse_args() -> Result<Cli, String> {
         shards: 4,
         shutdown: false,
         drain: false,
-        out: "BENCH_serve.json".to_string(),
+        out: "loadgen-report.json".to_string(),
         trace_out: None,
         load: LoadgenConfig::default(),
     };
@@ -247,12 +247,11 @@ fn main() {
         match drain_server(addr, true) {
             Ok(report) => println!(
                 "drain: {} users over {} shards; flushed {} verdicts \
-                 ({} pending checkins forced, {} held events, {} open visits)",
+                 ({} pending checkins forced, {} open visits)",
                 report.users,
                 report.shards,
                 report.verdicts_flushed,
                 report.forced_by_drain,
-                report.held_events,
                 report.open_visits,
             ),
             Err(e) => geosocial_obs::warn!("loadgen", "drain: {e}"),

@@ -136,7 +136,7 @@ fn snapshot_verdict_record_bytes() {
     state.slot_of.insert(300, 0);
     state.users.push(300);
     state.next_seq.push(12);
-    state.auditors.push(OnlineAuditor::restore(audit, None, astate));
+    state.auditors.push(OnlineAuditor::restore(audit, astate));
 
     let golden = "01010001f6285c8fc2354140d7a3703d0af75dc0000000000001ac020cac02000000000000000000000000000000ffffffffffffffffff010001ac0204e0c90a02000000000000204540b301ac02000000000000000000000000";
     let bytes = encode_state(&state);

@@ -131,7 +131,7 @@ impl Default for LoadgenConfig {
     }
 }
 
-/// What the replay measured — serialized to `BENCH_serve.json`.
+/// What the replay measured — serialized to loadgen's `--out` report.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchReport {
     /// Scenario family replayed.

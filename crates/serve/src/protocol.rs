@@ -18,6 +18,7 @@
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 
+use geosocial_geo::LatLon;
 use geosocial_stream::{AuditVerdict, StreamComposition};
 
 /// Frames larger than this are rejected — no legitimate message comes
@@ -182,18 +183,33 @@ pub enum Request {
     },
     /// Graceful drain. With `finalize: false` this is a non-destructive
     /// quiesce: every shard reports its residual state (pending checkins,
-    /// reorder-held events, open visits and stay windows) and ingestion may
-    /// resume afterwards with no effect on any verdict. With
-    /// `finalize: true` the shards additionally flush their reorder
-    /// buffers, close open stay windows, finalize every pending verdict
-    /// (like [`Request::Finish`]) and report what that forced — the
-    /// supported last call before `Shutdown`.
+    /// open visits and stay windows) and ingestion may resume afterwards
+    /// with no effect on any verdict. With `finalize: true` the shards
+    /// additionally close open stay windows, finalize every pending
+    /// verdict (like [`Request::Finish`]) and report what that forced —
+    /// the supported last call before `Shutdown`.
     Drain {
         /// Finalize the stream after reporting residual state.
         finalize: bool,
     },
     /// Stop the server once in-flight connections drain.
     Shutdown,
+}
+
+impl Request {
+    /// Whether every coordinate the request carries — the `Hello` origin,
+    /// a `Gps` fix, each `GpsRun` fix, a `Checkin` location — passes
+    /// [`LatLon::is_valid`]. Requests without coordinates pass.
+    pub fn coordinates_valid(&self) -> bool {
+        match self {
+            Request::Hello { origin_lat, origin_lon } => LatLon::is_valid(*origin_lat, *origin_lon),
+            Request::Gps { lat, lon, .. } | Request::Checkin { lat, lon, .. } => {
+                LatLon::is_valid(*lat, *lon)
+            }
+            Request::GpsRun { fixes, .. } => fixes.iter().all(|f| LatLon::is_valid(f.lat, f.lon)),
+            _ => true,
+        }
+    }
 }
 
 /// One GPS fix inside a [`Request::GpsRun`] batch.
@@ -378,8 +394,6 @@ pub struct DrainReport {
     pub users: usize,
     /// Checkins still awaiting finalization at drain time.
     pub pending_checkins: usize,
-    /// Events still held in allowed-lateness reorder buffers.
-    pub held_events: usize,
     /// Detected visits whose winning checkin was not yet fixed.
     pub open_visits: usize,
     /// GPS fixes buffered inside still-open stay windows.
@@ -415,7 +429,6 @@ impl DrainReport {
         self.shards += o.shards;
         self.users += o.users;
         self.pending_checkins += o.pending_checkins;
-        self.held_events += o.held_events;
         self.open_visits += o.open_visits;
         self.open_window_fixes += o.open_window_fixes;
         self.forced_by_drain += o.forced_by_drain;
@@ -609,7 +622,8 @@ mod tests {
     #[test]
     fn drain_report_without_store_fields_still_parses() {
         // A report serialized by a pre-store server omits the store
-        // counters; `#[serde(default)]` must fill them with zeros.
+        // counters; `#[serde(default)]` must fill them with zeros. A field
+        // the report does not know (`held_events`) is ignored.
         let json = r#"{"shards":2,"users":5,"pending_checkins":0,"held_events":0,
             "open_visits":0,"open_window_fixes":0,"forced_by_drain":0,
             "verdicts_flushed":0,"finalized":true,"composition":{

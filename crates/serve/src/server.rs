@@ -51,7 +51,7 @@
 //!   t0, t1 }` answers cohort compositions over a time range — both
 //!   online, while ingest and replay continue.
 //! * **Graceful drain** — the `Drain` request reports residual state
-//!   (pending checkins, reorder-held events, open visits/windows) and,
+//!   (pending checkins, open visits/windows) and,
 //!   when asked to finalize, flushes it all before the operator sends
 //!   `Shutdown`.
 //!
@@ -637,7 +637,6 @@ impl ShardState {
                 };
                 for a in &self.auditors {
                     report.pending_checkins += a.composition().pending_checkins;
-                    report.held_events += a.held_events();
                     report.open_visits += a.open_visits();
                     report.open_window_fixes += a.open_window_fixes();
                 }
@@ -1355,8 +1354,12 @@ fn handle_conn(
         }
         // Route exactly as the cluster router does (`wire::route_of`): one
         // shard for user-addressed requests, every shard for broadcasts,
-        // inline for control.
+        // inline for control. A bad coordinate is refused first, so it
+        // never reaches a shard, the store or `LatLon::new`.
         let resp = match (wire::route_of(&req), req) {
+            (_, req) if !req.coordinates_valid() => Response::Error {
+                message: "invalid coordinate: want finite values with latitude in [-90, 90]".into(),
+            },
             (RoutePeek::User(user), req) => {
                 let cmd = shard_cmd(req).expect("user-routed requests reach a shard");
                 let shard = shard_of(user, n);

@@ -395,9 +395,9 @@ fn put_auditor(out: &mut Vec<u8>, a: &AuditorState) {
     }
     put_varint(out, a.checkin_count as u64);
     put_zigzag(out, a.frontier);
-    // The lateness-buffer flag: always 0, since a served auditor runs
-    // `AuditConfig::paper`, which has no lateness buffer.
-    assert!(a.reorder.is_none(), "served auditors hold no lateness buffer");
+    // The lateness-buffer flag: always 0, since auditors have no lateness
+    // buffer. The byte stays so the layout (and `STATE_VERSION`) does not
+    // change.
     out.push(0);
     put_varint(out, a.verdicts.len() as u64);
     for v in &a.verdicts {
@@ -459,7 +459,6 @@ fn read_auditor(r: &mut Reader<'_>) -> Result<AuditorState, CodecError> {
         pending,
         checkin_count,
         frontier,
-        reorder: None,
         verdicts,
         comp: read_comp(r)?,
         finished: read_bool(r)?,
@@ -539,7 +538,7 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<ShardState, CodecError> {
         state.slot_of.insert(user, slot);
         state.users.push(user);
         state.next_seq.push(next_seq);
-        state.auditors.push(OnlineAuditor::restore(audit, None, astate));
+        state.auditors.push(OnlineAuditor::restore(audit, astate));
     }
     r.finish()?;
     Ok(state)

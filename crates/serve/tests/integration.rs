@@ -283,3 +283,100 @@ fn live_stats_count_queries() {
     shutdown_server(addr).expect("shutdown accepted");
     assert_eq!(server.join().expect("server exits cleanly").queries, 4);
 }
+
+/// Coordinates are checked at the shard's edge, on both wires: a frame
+/// carrying a non-finite value or a latitude outside [-90, 90] — in a
+/// `Hello`, a `Gps`, any fix of a `GpsRun` or a `Checkin` — is answered
+/// `Error` on an open connection, and leaves no trace: no user slot, no
+/// applied or duplicate event, no recovery and no store record.
+#[test]
+fn bad_coordinates_are_refused_at_the_edge() {
+    let store_dir =
+        std::env::temp_dir().join(format!("geosocial-bad-coords-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let config =
+        ServerConfig { shards: 2, store_dir: Some(store_dir.clone()), ..ServerConfig::default() };
+    let server = spawn(config, "127.0.0.1:0").expect("bind ephemeral port");
+    let addr = server.addr();
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut w = BufWriter::new(stream.try_clone().expect("clone"));
+    let mut r = BufReader::new(stream);
+    let mut ask = |req: &Request, fmt: WireFormat| -> Response {
+        let mut frame = Vec::new();
+        wire::encode_request_frame(&mut frame, req, fmt).expect("encode");
+        w.write_all(&frame).expect("write");
+        w.flush().expect("flush");
+        let mut buf = Vec::new();
+        let len = read_frame_into(&mut r, &mut buf).expect("read").expect("an answer");
+        wire::decode_response(&buf[..len]).expect("decode")
+    };
+    let refused = |resp: Response, what: &str| match resp {
+        Response::Error { message } => {
+            assert!(message.contains("invalid coordinate"), "{what}: got {message}")
+        }
+        other => panic!("{what}: expected Error, got {other:?}"),
+    };
+
+    let (lat, lon) = (34.42, -119.86);
+    let gps = |lat, lon| Request::Gps { user: 1, seq: 0, t: 0, lat, lon };
+    let run = |bad_lat| Request::GpsRun {
+        user: 1,
+        first_seq: 0,
+        fixes: (0..4)
+            .map(|i| WireFix { t: 60 * i, lat: if i == 2 { bad_lat } else { lat }, lon })
+            .collect(),
+    };
+    let checkin = |lat, lon| Request::Checkin { user: 1, seq: 0, t: 0, poi: 4, lat, lon };
+
+    for fmt in [WireFormat::Json, WireFormat::Binary] {
+        refused(ask(&Request::Hello { origin_lat: -90.5, origin_lon: lon }, fmt), "Hello");
+    }
+    match ask(&Request::Hello { origin_lat: lat, origin_lon: lon }, WireFormat::Json) {
+        Response::Ok => {}
+        other => panic!("expected Ok for Hello, got {other:?}"),
+    }
+    let store_records = |resp: Response| match resp {
+        Response::Drained { report } => report.store_records,
+        other => panic!("expected Drained, got {other:?}"),
+    };
+    let drain = Request::Drain { finalize: false };
+    let records_after_hello = store_records(ask(&drain, WireFormat::Json));
+    for fmt in [WireFormat::Json, WireFormat::Binary] {
+        refused(ask(&gps(95.0, lon), fmt), "Gps lat 95");
+        refused(ask(&run(95.0), fmt), "GpsRun fix 3 lat 95");
+        refused(ask(&checkin(-95.0, lon), fmt), "Checkin lat -95");
+    }
+    // Non-finite values only travel on the binary wire (JSON has no NaN).
+    refused(ask(&gps(f64::NAN, lon), WireFormat::Binary), "Gps lat NaN");
+    refused(ask(&gps(lat, f64::INFINITY), WireFormat::Binary), "Gps lon inf");
+    refused(ask(&run(f64::NAN), WireFormat::Binary), "GpsRun fix 3 lat NaN");
+    refused(ask(&checkin(lat, f64::NAN), WireFormat::Binary), "Checkin lon NaN");
+
+    match ask(&Request::Stats, WireFormat::Json) {
+        Response::Stats { stats } => {
+            assert_eq!(stats.users, 0, "a refused frame allocated a user slot");
+            assert_eq!(stats.gps_events + stats.checkin_events, 0, "a refused event applied");
+            assert_eq!(stats.duplicates, 0);
+            assert_eq!(stats.recoveries, 0);
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    // Longitude is normalized, so any finite value is valid; sequence 0 is
+    // still the user's next event.
+    match ask(&gps(lat, 240.14), WireFormat::Binary) {
+        Response::Verdicts { .. } => {}
+        other => panic!("expected Verdicts for a valid Gps, got {other:?}"),
+    }
+    assert_eq!(
+        store_records(ask(&drain, WireFormat::Json)),
+        records_after_hello + 1,
+        "only the valid fix reached the store"
+    );
+
+    drop(w);
+    drop(r);
+    shutdown_server(addr).expect("shutdown accepted");
+    server.join().expect("server exits cleanly");
+    let _ = std::fs::remove_dir_all(&store_dir);
+}

@@ -64,7 +64,7 @@ fn as_of_and_window_match_batch_truncated_at_watermark() {
 
     let cfg = audit_config(ds);
     let cohort = cohort_of(&events);
-    let expected = window_compositions(&events, &cfg, None, i64::MIN, watermark);
+    let expected = window_compositions(&events, &cfg, i64::MIN, watermark);
 
     // Per-user `AsOf` at the watermark == the batch pipeline truncated
     // there.
@@ -107,7 +107,7 @@ fn as_of_and_window_match_batch_truncated_at_watermark() {
     }
 
     // And the degenerate full-range window equals the full batch replay.
-    let full = window_compositions(&events, &cfg, None, i64::MIN, i64::MAX);
+    let full = window_compositions(&events, &cfg, i64::MIN, i64::MAX);
     match control_request(
         addr,
         &Request::Window { cohort: cohort.clone(), t0: i64::MIN, t1: i64::MAX },
@@ -164,7 +164,7 @@ fn state_survives_server_restart_on_same_store_dir() {
     let addr = server.addr();
 
     let cfg = audit_config(ds);
-    let full = window_compositions(&events, &cfg, None, i64::MIN, i64::MAX);
+    let full = window_compositions(&events, &cfg, i64::MIN, i64::MAX);
     for want in &full {
         match control_request(addr, &Request::User { user: want.user }).expect("control request") {
             Response::Composition { composition } => {

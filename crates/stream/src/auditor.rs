@@ -32,33 +32,23 @@
 //!
 //! # Streaming concerns
 //!
-//! Late events (older than the fed frontier) are dropped and counted; an
-//! `allowed_lateness` reorder buffer upstream (see [`crate::Reorderer`])
-//! absorbs bounded disorder. Per-user state — pending checkins, the rolling
-//! fix window, unretired visits — is bounded by the configured budgets;
-//! exceeding them force-finalizes the oldest pending checkin with the
-//! evidence at hand (counted, and documented as the only divergence from
-//! batch output).
+//! Late events (older than the fed frontier) are dropped and counted, never
+//! reordered: delivery order is the caller's contract. Per-user state —
+//! pending checkins, the rolling fix window, unretired visits — is bounded
+//! by the configured budgets; exceeding them force-finalizes the oldest
+//! pending checkin with the evidence at hand (counted, and documented as
+//! the only divergence from batch output).
 
 use geosocial_core::classify::{classify_against, ClassifyConfig, ExtraneousKind};
 use geosocial_core::matching::{
     challenger_wins, prefer_candidate, within_beta, Candidate, MatchConfig,
 };
 use geosocial_geo::{LatLon, LocalProjection, Point};
-use geosocial_trace::{Checkin, GpsPoint, PoiUniverse, Timestamp, UserId, Visit, VisitConfig};
+use geosocial_trace::{Checkin, GpsPoint, Timestamp, UserId, Visit, VisitConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::detector::OnlineVisitDetector;
-use crate::watermark::Reorderer;
-
-/// One user-stream event held by the lateness buffer.
-#[derive(Debug, Clone)]
-enum UserEvent {
-    Gps(GpsPoint),
-    Checkin(Checkin),
-}
 
 /// Configuration of the online audit: the paper's thresholds plus the
 /// streaming-only knobs.
@@ -75,9 +65,6 @@ pub struct AuditConfig {
     /// batch dataset's `PoiUniverse` projection origin for exact
     /// equivalence.
     pub origin: LatLon,
-    /// Reorder-buffer lateness bound in seconds; 0 = in-order input
-    /// expected, late events dropped.
-    pub allowed_lateness_s: i64,
     /// Per-user budget: maximum checkins awaiting finalization before the
     /// oldest is force-finalized with current evidence.
     pub max_pending_checkins: usize,
@@ -87,14 +74,13 @@ pub struct AuditConfig {
 
 impl AuditConfig {
     /// Paper-default thresholds with a local projection anchored at
-    /// `origin` and in-order delivery assumed.
+    /// `origin`.
     pub fn paper(origin: LatLon) -> Self {
         Self {
             match_config: MatchConfig::paper(),
             classify: ClassifyConfig::default(),
             visit: VisitConfig::default(),
             origin,
-            allowed_lateness_s: 0,
             max_pending_checkins: 4_096,
             max_pending_fixes: 65_536,
         }
@@ -284,8 +270,6 @@ pub struct OnlineAuditor {
     /// Timestamp of the last event fed into the core (the fed frontier):
     /// in-order delivery means every future event is at or after it.
     frontier: Timestamp,
-    /// Lateness buffer; present when `allowed_lateness_s > 0`.
-    reorder: Option<Reorderer<UserEvent>>,
     verdicts: VecDeque<AuditVerdict>,
     comp: StreamComposition,
     finished: bool,
@@ -296,7 +280,6 @@ impl OnlineAuditor {
     pub fn new(user: UserId, cfg: AuditConfig) -> Self {
         let proj = LocalProjection::new(cfg.origin);
         let detector = OnlineVisitDetector::new(cfg.visit).with_state_budget(cfg.max_pending_fixes);
-        let reorder = (cfg.allowed_lateness_s > 0).then(|| Reorderer::new(cfg.allowed_lateness_s));
         Self {
             user,
             cfg,
@@ -309,37 +292,25 @@ impl OnlineAuditor {
             pending: VecDeque::new(),
             checkin_count: 0,
             frontier: i64::MIN,
-            reorder,
             verdicts: VecDeque::new(),
             comp: StreamComposition { user, ..Default::default() },
             finished: false,
         }
     }
 
-    /// Snap detected visits to POIs (cosmetic for the audit — composition
-    /// verdicts never read the snapped id).
-    pub fn with_pois(mut self, universe: Arc<PoiUniverse>) -> Self {
-        self.detector = OnlineVisitDetector::new(self.cfg.visit)
-            .with_state_budget(self.cfg.max_pending_fixes)
-            .with_pois(universe);
-        self
-    }
-
-    /// Ingest one GPS fix. With `allowed_lateness_s = 0` event-time order is
-    /// expected and late fixes are dropped; otherwise bounded disorder is
-    /// absorbed by the lateness buffer.
+    /// Ingest one GPS fix. Event-time order is expected: a fix at or
+    /// before the newest admitted fix, or behind the fed frontier, is
+    /// dropped and counted in `late_dropped`.
     pub fn push_gps(&mut self, p: GpsPoint) {
         assert!(!self.finished, "push after finish");
-        if let Some(r) = self.reorder.as_mut() {
-            if !r.push(p.t, UserEvent::Gps(p)) {
-                self.comp.late_dropped += 1;
-                return;
-            }
-            self.drain_ready();
-            self.note_held();
-        } else {
-            self.feed_gps(p);
+        if p.t < self.frontier || self.last_gps_t.is_some_and(|g| p.t <= g) {
+            self.drop_late();
+            return;
         }
+        self.frontier = p.t;
+        self.last_gps_t = Some(p.t);
+        self.gps_window.push_back(p);
+        self.detector.push(p);
         self.advance(false);
         self.enforce_budget();
     }
@@ -349,82 +320,8 @@ impl OnlineAuditor {
     /// stable sort).
     pub fn push_checkin(&mut self, c: Checkin) {
         assert!(!self.finished, "push after finish");
-        if let Some(r) = self.reorder.as_mut() {
-            if !r.push(c.t, UserEvent::Checkin(c)) {
-                self.comp.late_dropped += 1;
-                return;
-            }
-            self.drain_ready();
-            self.note_held();
-        } else {
-            self.feed_checkin(c);
-        }
-        self.advance(false);
-        self.enforce_budget();
-    }
-
-    /// End of stream: flush the lateness buffer and the open stay window,
-    /// then finalize every pending verdict. After this the auditor's
-    /// composition equals the batch composition (for in-order delivery
-    /// within the state budgets).
-    pub fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        if let Some(mut r) = self.reorder.take() {
-            while let Some(ev) = r.pop_final() {
-                match ev {
-                    UserEvent::Gps(p) => self.feed_gps(p),
-                    UserEvent::Checkin(c) => self.feed_checkin(c),
-                }
-            }
-        }
-        self.detector.finish();
-        self.advance(true);
-        debug_assert!(self.pending.is_empty(), "finish leaves no pending checkins");
-        debug_assert!(self.visits.iter().all(|v| v.resolved), "finish resolves all visits");
-    }
-
-    /// Flag the active trace (if any) when the lateness buffer is holding
-    /// events past this ingest — held deliveries are exactly the requests a
-    /// tail-sampled trace should keep.
-    fn note_held(&self) {
-        if self.reorder.as_ref().is_some_and(|r| r.held() > 0) {
-            geosocial_obs::trace::task_flag(geosocial_obs::trace::FLAG_HELD);
-        }
-    }
-
-    /// Feed events the lateness buffer has released, in event-time order.
-    fn drain_ready(&mut self) {
-        loop {
-            let ev = self.reorder.as_mut().and_then(|r| r.pop_ready());
-            match ev {
-                Some(UserEvent::Gps(p)) => self.feed_gps(p),
-                Some(UserEvent::Checkin(c)) => self.feed_checkin(c),
-                None => break,
-            }
-        }
-    }
-
-    /// Admit one in-order fix into the detector and the evidence window.
-    fn feed_gps(&mut self, p: GpsPoint) {
-        if p.t < self.frontier || self.last_gps_t.is_some_and(|g| p.t <= g) {
-            self.comp.late_dropped += 1;
-            crate::metrics::late_dropped().inc();
-            return;
-        }
-        self.frontier = p.t;
-        self.last_gps_t = Some(p.t);
-        self.gps_window.push_back(p);
-        self.detector.push(p);
-    }
-
-    /// Admit one in-order checkin into the pending queue.
-    fn feed_checkin(&mut self, c: Checkin) {
         if c.t < self.frontier {
-            self.comp.late_dropped += 1;
-            crate::metrics::late_dropped().inc();
+            self.drop_late();
             return;
         }
         self.frontier = c.t;
@@ -437,6 +334,29 @@ impl OnlineAuditor {
         });
         self.checkin_count += 1;
         self.comp.total_checkins += 1;
+        self.advance(false);
+        self.enforce_budget();
+    }
+
+    /// End of stream: flush the open stay window, then finalize every
+    /// pending verdict. After this the auditor's composition equals the
+    /// batch composition (for in-order delivery within the state budgets).
+    pub fn finish(&mut self) {
+        if self.finished {
+            return;
+        }
+        self.finished = true;
+        self.detector.finish();
+        self.advance(true);
+        debug_assert!(self.pending.is_empty(), "finish leaves no pending checkins");
+        debug_assert!(self.visits.iter().all(|v| v.resolved), "finish resolves all visits");
+    }
+
+    /// Count one event dropped for arriving out of order. The state is
+    /// untouched, so there is nothing to advance.
+    fn drop_late(&mut self) {
+        self.comp.late_dropped += 1;
+        crate::metrics::late_dropped().inc();
     }
 
     /// Drain finalized verdicts, in finalization order.
@@ -463,12 +383,6 @@ impl OnlineAuditor {
         self.pending.len() + self.gps_window.len() + self.detector.pending_len() + self.visits.len()
     }
 
-    /// Events still held by the allowed-lateness reorder buffer (0 when
-    /// in-order ingest is configured). Drain-report observability.
-    pub fn held_events(&self) -> usize {
-        self.reorder.as_ref().map_or(0, |r| r.held())
-    }
-
     /// Emitted visits whose winning checkin is not yet fixed.
     pub fn open_visits(&self) -> usize {
         self.visits.iter().filter(|v| !v.resolved).count()
@@ -485,7 +399,7 @@ impl OnlineAuditor {
     /// re-derived on [`Self::restore`], which makes the roundtrip
     /// bit-exact under an identical config.
     pub fn export_state(&self) -> crate::snapshot::AuditorState {
-        use crate::snapshot::{HeldEventState, PendingCheckinState, StageState, TrackedVisitState};
+        use crate::snapshot::{PendingCheckinState, StageState, TrackedVisitState};
         crate::snapshot::AuditorState {
             user: self.user,
             detector: self.detector.export_state(),
@@ -518,26 +432,6 @@ impl OnlineAuditor {
                 .collect(),
             checkin_count: self.checkin_count,
             frontier: self.frontier,
-            reorder: self.reorder.as_ref().map(|r| {
-                let parts = r.export_parts();
-                crate::snapshot::ReorderState {
-                    held: parts
-                        .held
-                        .into_iter()
-                        .map(|(t, seq, ev)| {
-                            let ev = match ev {
-                                UserEvent::Gps(p) => HeldEventState::Gps(p),
-                                UserEvent::Checkin(c) => HeldEventState::Checkin(c),
-                            };
-                            (t, seq, ev)
-                        })
-                        .collect(),
-                    next_seq: parts.next_seq,
-                    watermark: parts.watermark,
-                    released: parts.released,
-                    late_dropped: parts.late_dropped,
-                }
-            }),
             verdicts: self.verdicts.iter().copied().collect(),
             comp: self.comp,
             finished: self.finished,
@@ -545,18 +439,14 @@ impl OnlineAuditor {
     }
 
     /// Rebuild an auditor from an exported state under `cfg` (which must
-    /// equal the exporting side's config) and the same POI universe. The
-    /// restored auditor's observable behaviour — verdicts, compositions,
-    /// every float — is bit-identical to one that was never exported.
-    pub fn restore(
-        cfg: AuditConfig,
-        pois: Option<Arc<PoiUniverse>>,
-        state: crate::snapshot::AuditorState,
-    ) -> Self {
-        use crate::snapshot::{HeldEventState, StageState};
+    /// equal the exporting side's config). The restored auditor's
+    /// observable behaviour — verdicts, compositions, every float — is
+    /// bit-identical to one that was never exported.
+    pub fn restore(cfg: AuditConfig, state: crate::snapshot::AuditorState) -> Self {
+        use crate::snapshot::StageState;
         let proj = LocalProjection::new(cfg.origin);
         let detector =
-            OnlineVisitDetector::restore(cfg.visit, pois, cfg.max_pending_fixes, state.detector);
+            OnlineVisitDetector::restore(cfg.visit, cfg.max_pending_fixes, state.detector);
         let visits = state
             .visits
             .into_iter()
@@ -582,28 +472,6 @@ impl OnlineAuditor {
                 },
             })
             .collect();
-        let reorder = state.reorder.map(|r| {
-            Reorderer::restore(
-                cfg.allowed_lateness_s,
-                crate::watermark::ReordererParts {
-                    held: r
-                        .held
-                        .into_iter()
-                        .map(|(t, seq, ev)| {
-                            let ev = match ev {
-                                HeldEventState::Gps(p) => UserEvent::Gps(p),
-                                HeldEventState::Checkin(c) => UserEvent::Checkin(c),
-                            };
-                            (t, seq, ev)
-                        })
-                        .collect(),
-                    next_seq: r.next_seq,
-                    watermark: r.watermark,
-                    released: r.released,
-                    late_dropped: r.late_dropped,
-                },
-            )
-        });
         Self {
             user: state.user,
             cfg,
@@ -616,7 +484,6 @@ impl OnlineAuditor {
             pending,
             checkin_count: state.checkin_count,
             frontier: state.frontier,
-            reorder,
             verdicts: state.verdicts.into(),
             comp: state.comp,
             finished: state.finished,
@@ -1074,7 +941,7 @@ mod tests {
                 // Serialize-shaped roundtrip: export → restore.
                 let state = churned.export_state();
                 assert_eq!(state, churned.export_state(), "export is deterministic");
-                churned = OnlineAuditor::restore(cfg.clone(), None, state);
+                churned = OnlineAuditor::restore(cfg.clone(), state);
             }
             live.push_gps(fix(t, x + 1_200.0));
             churned.push_gps(fix(t, x + 1_200.0));
@@ -1094,25 +961,6 @@ mod tests {
         }
         assert_eq!(live.composition(), churned.composition());
         assert_eq!(live.composition().honest, 4);
-    }
-
-    #[test]
-    fn export_restore_preserves_lateness_buffer() {
-        let mut cfg = AuditConfig::paper(origin());
-        cfg.allowed_lateness_s = 10 * MINUTE;
-        let mut a = OnlineAuditor::new(11, cfg.clone());
-        for i in 0..=6 {
-            a.push_gps(fix(i * MINUTE, 0.0));
-        }
-        // Out-of-order checkin within the bound: held, not dropped.
-        a.push_checkin(ck(3 * MINUTE, 10.0));
-        assert!(a.held_events() > 0, "lateness buffer should hold events");
-        let mut b = OnlineAuditor::restore(cfg, None, a.export_state());
-        assert_eq!(b.held_events(), a.held_events());
-        a.finish();
-        b.finish();
-        assert_eq!(a.composition(), b.composition());
-        assert_eq!(a.composition().total_checkins, 1);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! the event stream a deployed collector would have produced: globally
 //! sorted by event time, per-user per-stream order preserved.
 
-use geosocial_trace::{Checkin, Dataset, GpsPoint, PoiUniverse, Timestamp, UserId};
+use geosocial_trace::{Checkin, Dataset, GpsPoint, Timestamp, UserId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::auditor::{AuditConfig, AuditVerdict, OnlineAuditor, StreamComposition};
 
@@ -84,14 +83,10 @@ pub fn dataset_events(ds: &Dataset) -> Vec<StreamEvent> {
 pub fn window_compositions(
     events: &[StreamEvent],
     cfg: &AuditConfig,
-    pois: Option<&Arc<PoiUniverse>>,
     t0: Timestamp,
     t1: Timestamp,
 ) -> Vec<StreamComposition> {
     let mut cohort = CohortAuditor::new(cfg.clone());
-    if let Some(p) = pois {
-        cohort = cohort.with_pois(Arc::clone(p));
-    }
     for ev in events {
         if ev.t() < t0 || ev.t() > t1 {
             continue;
@@ -106,7 +101,6 @@ pub fn window_compositions(
 #[derive(Debug)]
 pub struct CohortAuditor {
     cfg: AuditConfig,
-    pois: Option<Arc<PoiUniverse>>,
     users: HashMap<UserId, OnlineAuditor>,
     verdicts: Vec<AuditVerdict>,
     finished: bool,
@@ -115,25 +109,12 @@ pub struct CohortAuditor {
 impl CohortAuditor {
     /// A cohort auditor applying `cfg` to every user.
     pub fn new(cfg: AuditConfig) -> Self {
-        Self { cfg, pois: None, users: HashMap::new(), verdicts: Vec::new(), finished: false }
-    }
-
-    /// Snap detected visits to this POI universe (cosmetic for verdicts).
-    pub fn with_pois(mut self, universe: Arc<PoiUniverse>) -> Self {
-        self.pois = Some(universe);
-        self
+        Self { cfg, users: HashMap::new(), verdicts: Vec::new(), finished: false }
     }
 
     fn auditor(&mut self, user: UserId) -> &mut OnlineAuditor {
         let cfg = &self.cfg;
-        let pois = &self.pois;
-        self.users.entry(user).or_insert_with(|| {
-            let a = OnlineAuditor::new(user, cfg.clone());
-            match pois {
-                Some(p) => a.with_pois(Arc::clone(p)),
-                None => a,
-            }
-        })
+        self.users.entry(user).or_insert_with(|| OnlineAuditor::new(user, cfg.clone()))
     }
 
     /// Ingest one event, collecting any verdicts it finalizes.

@@ -6,23 +6,21 @@
 //! [`geosocial_trace::extends_stay`] and [`geosocial_trace::close_stay`] —
 //! so for in-order input the emitted visit sequence is **identical** to the
 //! batch output, in the same order, with the same timestamps and centroids.
+//! Emitted visits are not snapped to POIs (`poi` is `None`): no audit
+//! verdict reads the snapped id.
 //!
 //! The only behavioural additions are streaming concerns: out-of-order fixes
 //! older than the ingest frontier are dropped (and counted), and a pending
 //! window larger than the state budget is force-closed.
 
 use crate::metrics;
-use geosocial_trace::{
-    close_stay, extends_stay, GpsPoint, PoiUniverse, Timestamp, Visit, VisitConfig,
-};
+use geosocial_trace::{close_stay, extends_stay, GpsPoint, Timestamp, Visit, VisitConfig};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Incremental form of the §3 stay-point detector.
 #[derive(Debug, Clone)]
 pub struct OnlineVisitDetector {
     config: VisitConfig,
-    pois: Option<Arc<PoiUniverse>>,
     /// Fixes not yet consumed by an emitted or discarded window. The front
     /// fix is the anchor of the currently open window.
     buffer: VecDeque<GpsPoint>,
@@ -54,7 +52,6 @@ impl OnlineVisitDetector {
     pub fn new(config: VisitConfig) -> Self {
         Self {
             config,
-            pois: None,
             buffer: VecDeque::new(),
             validated: 0,
             broke: false,
@@ -66,12 +63,6 @@ impl OnlineVisitDetector {
             max_pending: 65_536,
             finished: false,
         }
-    }
-
-    /// Snap emitted visits to POIs of `universe` (same snap rule as batch).
-    pub fn with_pois(mut self, universe: Arc<PoiUniverse>) -> Self {
-        self.pois = Some(universe);
-        self
     }
 
     /// Cap the pending-fix buffer; a window reaching the cap is force-closed
@@ -158,8 +149,8 @@ impl OnlineVisitDetector {
         self.frontier
     }
 
-    /// Export the complete mutable state (config, POIs, and the budget are
-    /// the restoring side's responsibility).
+    /// Export the complete mutable state (config and budget are the
+    /// restoring side's responsibility).
     pub(crate) fn export_state(&self) -> crate::snapshot::DetectorState {
         crate::snapshot::DetectorState {
             buffer: self.buffer.iter().copied().collect(),
@@ -175,16 +166,14 @@ impl OnlineVisitDetector {
     }
 
     /// Rebuild a detector that continues exactly where [`Self::export_state`]
-    /// left off, under the same config, POIs, and budget.
+    /// left off, under the same config and budget.
     pub(crate) fn restore(
         config: VisitConfig,
-        pois: Option<Arc<PoiUniverse>>,
         max_pending: usize,
         state: crate::snapshot::DetectorState,
     ) -> Self {
         Self {
             config,
-            pois,
             buffer: state.buffer.into(),
             validated: state.validated,
             broke: state.broke,
@@ -238,7 +227,7 @@ impl OnlineVisitDetector {
     /// consumed (the whole window when a visit is emitted, one otherwise).
     fn close_front(&mut self) -> usize {
         let window: Vec<GpsPoint> = self.buffer.iter().take(self.validated).copied().collect();
-        match close_stay(&window, &self.config, self.pois.as_deref()) {
+        match close_stay(&window, &self.config, None) {
             Some(v) => {
                 self.emitted.push_back(v);
                 self.emitted_total += 1;

@@ -8,10 +8,13 @@
 //! remote, driveby, unclassified) as soon as the event-time watermark
 //! proves no future event can change it.
 //!
+//! Every operator reads each user's stream in event-time order, the order
+//! the batch pipeline sorts into: an event older than the user's fed
+//! frontier is dropped and counted in `late_dropped`, never reordered. The
+//! serving layer delivers that order per user with sequence numbers.
+//!
 //! Layers, bottom up:
 //!
-//! * [`Reorderer`] — allowed-lateness watermarking: repairs bounded
-//!   disorder, drops and counts events later than the bound;
 //! * [`OnlineVisitDetector`] — incremental §3 stay-point detection, same
 //!   extension/closure rules as the batch detector (shared code, not a
 //!   reimplementation), identical output for in-order input;
@@ -34,19 +37,18 @@ mod cohort;
 mod detector;
 mod equivalence;
 pub mod snapshot;
-mod watermark;
 
 /// Cached handles to the crate's exported stream-health metrics (see the
 /// README's Observability section for the full series list). Handles are
-/// process-global: every auditor, detector and reorderer in the process
-/// feeds the same series.
+/// process-global: every auditor and detector in the process feeds the
+/// same series.
 pub(crate) mod metrics {
-    use geosocial_obs::{counter, gauge, histogram, Counter, Gauge, Histogram};
+    use geosocial_obs::{counter, Counter};
     use std::sync::{Arc, OnceLock};
 
-    /// Events dropped for arriving later than the allowed lateness —
-    /// reorderer, auditor frontier and detector drop sites combined,
-    /// matching the `late_dropped` composition totals 1:1.
+    /// Events dropped for arriving behind the fed frontier — auditor and
+    /// detector drop sites combined, matching the `late_dropped`
+    /// composition totals 1:1.
     pub(crate) fn late_dropped() -> &'static Counter {
         static H: OnceLock<Arc<Counter>> = OnceLock::new();
         H.get_or_init(|| counter("stream.late_dropped"))
@@ -63,21 +65,6 @@ pub(crate) mod metrics {
         static H: OnceLock<Arc<Counter>> = OnceLock::new();
         H.get_or_init(|| counter("stream.forced_closures"))
     }
-
-    /// Events currently held by reorder buffers (aggregate occupancy;
-    /// cloning a buffer mid-stream skews it, which no production path
-    /// does).
-    pub(crate) fn reorder_held() -> &'static Gauge {
-        static H: OnceLock<Arc<Gauge>> = OnceLock::new();
-        H.get_or_init(|| gauge("stream.reorder.held"))
-    }
-
-    /// Watermark lag per offered event: how far (seconds) behind the
-    /// post-update watermark its timestamp is. 0 for in-order input.
-    pub(crate) fn watermark_lag_s() -> &'static Histogram {
-        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-        H.get_or_init(|| histogram("stream.watermark.lag_s"))
-    }
 }
 
 pub use auditor::{AuditConfig, AuditVerdict, OnlineAuditor, StreamComposition, VerdictKind};
@@ -86,4 +73,3 @@ pub use detector::OnlineVisitDetector;
 pub use equivalence::{
     equivalence_report, replay_config, stream_compositions, EquivalenceReport, Mismatch,
 };
-pub use watermark::Reorderer;

@@ -4,18 +4,18 @@
 //! store) must capture *everything* an [`crate::OnlineAuditor`] knows that
 //! is not derivable from its configuration: the open stay window, the
 //! rolling evidence fixes, unretired visits and their dedup incumbents,
-//! pending checkins with their pipeline stage, the lateness buffer, and
-//! the rolling composition. These structs are that state, exhaustively,
-//! as plain data — no `VecDeque`s, no projections, no `Arc`s — so a byte
-//! codec can serialize them and [`crate::OnlineAuditor::restore`] can
-//! rebuild an auditor that continues **bit-identically** to one that was
-//! never serialized (locals are re-derived through the same
-//! `LocalProjection`, so every float is reproduced exactly).
+//! pending checkins with their pipeline stage, and the rolling
+//! composition. These structs are that state, exhaustively, as plain data
+//! — no `VecDeque`s, no projections — so a byte codec can serialize them
+//! and [`crate::OnlineAuditor::restore`] can rebuild an auditor that
+//! continues **bit-identically** to one that was never serialized (locals
+//! are re-derived through the same `LocalProjection`, so every float is
+//! reproduced exactly).
 //!
-//! Configuration ([`crate::AuditConfig`], the POI universe) is *not* part
-//! of the export: the restoring side constructs auditors from its own
-//! config, which must match the exporting side's — the same contract the
-//! batch/stream equivalence already relies on.
+//! Configuration ([`crate::AuditConfig`]) is *not* part of the export: the
+//! restoring side constructs auditors from its own config, which must
+//! match the exporting side's — the same contract the batch/stream
+//! equivalence already relies on.
 
 use crate::auditor::{AuditVerdict, StreamComposition};
 use geosocial_trace::{Checkin, GpsPoint, Timestamp, UserId, Visit};
@@ -79,31 +79,6 @@ pub struct TrackedVisitState {
     pub resolved: bool,
 }
 
-/// One event held by the lateness buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HeldEventState {
-    /// A GPS fix.
-    Gps(GpsPoint),
-    /// A checkin.
-    Checkin(Checkin),
-}
-
-/// State of a [`crate::Reorderer`] (present when the audit config allows
-/// lateness).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReorderState {
-    /// Held events as `(t, arrival seq, event)`; heap order is rebuilt.
-    pub held: Vec<(Timestamp, u64, HeldEventState)>,
-    /// Next arrival sequence number.
-    pub next_seq: u64,
-    /// Largest event time pushed (the watermark).
-    pub watermark: Option<Timestamp>,
-    /// Largest timestamp released.
-    pub released: Option<Timestamp>,
-    /// Events dropped for exceeding the lateness bound.
-    pub late_dropped: usize,
-}
-
 /// Complete exported state of an [`crate::OnlineAuditor`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditorState {
@@ -125,8 +100,6 @@ pub struct AuditorState {
     pub checkin_count: usize,
     /// Timestamp of the last event fed into the core.
     pub frontier: Timestamp,
-    /// Lateness-buffer state, when one is configured.
-    pub reorder: Option<ReorderState>,
     /// Finalized verdicts not yet drained by the caller.
     pub verdicts: Vec<AuditVerdict>,
     /// Rolling composition counters.

@@ -53,42 +53,3 @@ fn stream_matches_batch_under_non_paper_thresholds() {
         );
     }
 }
-
-#[test]
-fn lateness_buffer_repairs_bounded_disorder() {
-    use geosocial_stream::{dataset_events, replay_config, CohortAuditor};
-
-    let config = ScenarioConfig::small(6, 3);
-    let scenario = Scenario::generate(&config, 7);
-    let ds = &scenario.primary;
-    let mut events = dataset_events(ds);
-    // Perturb delivery: swap adjacent events whose timestamps differ by
-    // less than the lateness bound, deterministically.
-    let lateness = 120;
-    let mut state: u64 = 0x9E37_79B9;
-    for i in 1..events.len() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let dt = events[i].t() - events[i - 1].t();
-        if state.is_multiple_of(3) && dt > 0 && dt < lateness {
-            events.swap(i - 1, i);
-        }
-    }
-
-    let mut cfg =
-        replay_config(ds, &MatchConfig::paper(), &ClassifyConfig::default(), &config.visit);
-    cfg.allowed_lateness_s = lateness;
-    let mut cohort = CohortAuditor::new(cfg);
-    for ev in events {
-        cohort.push(ev);
-    }
-    cohort.finish();
-    let disordered = cohort.compositions();
-
-    let in_order = geosocial_stream::stream_compositions(
-        ds,
-        replay_config(ds, &MatchConfig::paper(), &ClassifyConfig::default(), &config.visit),
-    );
-    assert_eq!(disordered, in_order, "lateness buffer must make bounded disorder invisible");
-    let late: usize = disordered.iter().map(|c| c.late_dropped).sum();
-    assert_eq!(late, 0, "no event should exceed the lateness bound");
-}
