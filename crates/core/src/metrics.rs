@@ -124,12 +124,16 @@ pub fn poi_entropies(
                 *counts.entry(poi).or_insert(0) += 1;
             }
         }
-        let total: usize = counts.values().sum();
-        if total == 0 {
+        if counts.is_empty() {
             continue;
         }
+        // Sum in ascending count order: float addition is not associative,
+        // and a map's iteration order differs from instance to instance.
+        let mut counts: Vec<usize> = counts.into_values().collect();
+        counts.sort_unstable();
+        let total: usize = counts.iter().sum();
         let h: f64 = counts
-            .values()
+            .iter()
             .map(|&c| {
                 let p = c as f64 / total as f64;
                 -p * p.log2()
@@ -346,6 +350,40 @@ mod tests {
         let ds0 = user_with(vec![ck(0, 1), ck(1, 1), ck(2, 1)], vec![], GpsTrace::default());
         let h0 = poi_entropies(&ds0, EventSource::Checkins, None);
         assert_eq!(h0[0], 0.0);
+    }
+
+    #[test]
+    fn poi_entropy_bits_do_not_depend_on_map_order() {
+        // POI i is checked in at i + 1 times. For this multiset the float
+        // sum of -p*log2(p) lands on different bits in ascending and in
+        // descending order, so a sum in hash-map order would vary.
+        let counts: Vec<usize> = (1..=14).collect();
+        let total: usize = counts.iter().sum();
+        let sum_in = |order: &mut dyn Iterator<Item = &usize>| -> f64 {
+            order
+                .map(|&c| {
+                    let p = c as f64 / total as f64;
+                    -p * p.log2()
+                })
+                .sum()
+        };
+        let ascending = sum_in(&mut counts.iter());
+        let descending = sum_in(&mut counts.iter().rev());
+        assert_ne!(ascending.to_bits(), descending.to_bits(), "pick an order-sensitive multiset");
+
+        let mut checkins = Vec::new();
+        for (poi, &c) in counts.iter().enumerate() {
+            for _ in 0..c {
+                checkins.push(ck(checkins.len() as i64, poi as u32));
+            }
+        }
+        let ds = user_with(checkins, vec![], GpsTrace::default());
+        // Every call builds a fresh map with fresh hash keys, so each call
+        // sees its own iteration order.
+        for _ in 0..64 {
+            let h = poi_entropies(&ds, EventSource::Checkins, None);
+            assert_eq!(h[0].to_bits(), ascending.to_bits());
+        }
     }
 
     #[test]

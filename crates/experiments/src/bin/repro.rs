@@ -3,7 +3,7 @@
 //! ```text
 //! repro list
 //! repro list-scenarios
-//! repro [--exp all|table1|fig1..fig8|table2|sweep|detect|filter|recover|learned|fidelity|rates|visitdef|dsdv|equiv|chaos|timetravel|cluster|scenarios]
+//! repro [--exp all|table1|fig1..fig8|table2|sweep|detect|filter|recover|learned|fidelity|rates|visitdef|dsdv|equiv|scenarios]
 //!       [--scenario NAME[,NAME...]]
 //!       [--users N] [--days N] [--seed S] [--out DIR] [--threads N] [--quick] [--paper-area] [--bench]
 //! ```
@@ -20,55 +20,24 @@
 //! in `DIR/timings.csv`. All output is bit-identical for any `--threads`
 //! value — parallelism only changes how fast it appears.
 
-use geosocial_experiments::figures::{self, ExperimentOutput};
-use geosocial_experiments::models::{self, Fig8Config};
-use geosocial_experiments::{extensions, scenarios, streaming, Analysis};
+use geosocial_experiments::catalogue::{Runner, Settings, EXPERIMENTS};
+use geosocial_experiments::Analysis;
 use geosocial_obs::Stopwatch;
 use std::path::PathBuf;
 
 struct Args {
     exps: Vec<String>,
-    scenarios: Option<Vec<String>>,
+    settings: Settings,
     users: Option<u32>,
     days: Option<u32>,
-    seed: u64,
     out: PathBuf,
     threads: Option<usize>,
-    quick: bool,
-    paper_area: bool,
     bench: bool,
 }
 
-const ALL_EXPS: [(&str, &str); 24] = [
-    ("table1", "Table 1 — dataset statistics for both cohorts"),
-    ("fig1", "Figure 1 — checkin/visit matching Venn"),
-    ("fig2", "Figure 2 — inter-arrival CDFs"),
-    ("fig3", "Figure 3 — top-n missing-checkin concentration"),
-    ("fig4", "Figure 4 — missing checkins by POI category"),
-    ("table2", "Table 2 — incentive correlations"),
-    ("fig5", "Figure 5 — per-user extraneous ratio"),
-    ("fig6", "Figure 6 — checkin burstiness"),
-    ("fig7", "Figure 7 — Levy Walk fits"),
-    ("fig8", "Figure 8 — MANET routing metrics"),
-    ("sweep", "§4.1 α/β threshold sensitivity sweep"),
-    ("detect", "§7 extraneous-checkin detection P/R curve"),
-    ("filter", "§5.3 user-filter tradeoff"),
-    ("recover", "§7 missing-location recovery"),
-    ("learned", "§7 learned extraneous detector (X5)"),
-    ("fidelity", "generative-model fidelity audit (X6)"),
-    ("rates", "§7 per-category rate recovery (X7)"),
-    ("visitdef", "visit-definition sensitivity sweep (X8)"),
-    ("dsdv", "Figure 8 under DSDV routing (X9)"),
-    ("equiv", "online-vs-batch streaming equivalence audit (X10)"),
-    ("chaos", "served equivalence under an injected fault plan (X11)"),
-    ("timetravel", "store-backed as-of audit vs truncated batch (X13)"),
-    ("cluster", "router-tier cluster vs single instance vs batch (X14)"),
-    ("scenarios", "per-scenario detector scorecards (X15)"),
-];
-
 fn print_experiment_list() {
     eprintln!("experiments (use --exp NAME[,NAME...] or --exp all):");
-    for (name, what) in ALL_EXPS {
+    for &(name, what) in EXPERIMENTS {
         eprintln!("  {name:<9} {what}");
     }
 }
@@ -76,14 +45,11 @@ fn print_experiment_list() {
 fn parse_args() -> Args {
     let mut args = Args {
         exps: vec!["all".into()],
-        scenarios: None,
+        settings: Settings { seed: 20130101, ..Settings::default() },
         users: None,
         days: None,
-        seed: 20130101,
         out: PathBuf::from("results"),
         threads: None,
-        quick: false,
-        paper_area: false,
         bench: false,
     };
     let mut exp_given = false;
@@ -106,7 +72,7 @@ fn parse_args() -> Args {
                     it.next().expect("--exp needs a value").split(',').map(str::to_string).collect()
             }
             "--scenario" => {
-                args.scenarios = Some(
+                args.settings.scenarios = Some(
                     it.next()
                         .expect("--scenario needs a value")
                         .split(',')
@@ -120,14 +86,16 @@ fn parse_args() -> Args {
             "--days" => {
                 args.days = Some(it.next().expect("--days needs a value").parse().expect("days"))
             }
-            "--seed" => args.seed = it.next().expect("--seed needs a value").parse().expect("seed"),
+            "--seed" => {
+                args.settings.seed = it.next().expect("--seed needs a value").parse().expect("seed")
+            }
             "--out" => args.out = PathBuf::from(it.next().expect("--out needs a value")),
             "--threads" => {
                 args.threads =
                     Some(it.next().expect("--threads needs a value").parse().expect("threads"))
             }
-            "--quick" => args.quick = true,
-            "--paper-area" => args.paper_area = true,
+            "--quick" => args.settings.quick = true,
+            "--paper-area" => args.settings.paper_area = true,
             "--bench" => args.bench = true,
             "--help" | "-h" => {
                 eprintln!(
@@ -153,10 +121,10 @@ fn parse_args() -> Args {
     }
     // `--scenario` without `--exp` means "score just these families":
     // run only the scenarios experiment.
-    if args.scenarios.is_some() && !exp_given {
+    if args.settings.scenarios.is_some() && !exp_given {
         args.exps = vec!["scenarios".into()];
     }
-    if let Some(names) = &args.scenarios {
+    if let Some(names) = &args.settings.scenarios {
         for name in names {
             if geosocial_scenario::find(name).is_none() {
                 eprintln!(
@@ -168,10 +136,10 @@ fn parse_args() -> Args {
         }
     }
     if args.exps.iter().any(|e| e == "all") {
-        args.exps = ALL_EXPS.iter().map(|(name, _)| name.to_string()).collect();
+        args.exps = EXPERIMENTS.iter().map(|(name, _)| name.to_string()).collect();
     }
     for exp in &args.exps {
-        if !ALL_EXPS.iter().any(|(name, _)| name == exp) {
+        if !EXPERIMENTS.iter().any(|(name, _)| name == exp) {
             eprintln!("unknown experiment {exp}");
             print_experiment_list();
             std::process::exit(2);
@@ -231,7 +199,8 @@ fn main() {
     }
     std::fs::create_dir_all(&args.out).expect("create output dir");
 
-    let mut config = if args.quick { Analysis::quick_config() } else { Analysis::paper_config() };
+    let mut config =
+        if args.settings.quick { Analysis::quick_config() } else { Analysis::paper_config() };
     if let Some(u) = args.users {
         config.primary_users = u;
         config.baseline_users = (u / 5).max(2);
@@ -246,12 +215,12 @@ fn main() {
         config.primary_users,
         config.primary_days,
         config.baseline_users,
-        args.seed,
+        args.settings.seed,
         geosocial_par::max_threads(),
     );
     let mut timings: Vec<(String, f64)> = Vec::new();
     let mut clock = Stopwatch::start();
-    let analysis = Analysis::run(&config, args.seed);
+    let analysis = Analysis::run(&config, args.settings.seed);
     let analysis_secs = clock.lap_us() as f64 / 1e6;
     eprintln!("exp analysis took {analysis_secs:.2}s");
     timings.push(("analysis".into(), analysis_secs));
@@ -261,67 +230,12 @@ fn main() {
         analysis.scenario.baseline.stats()
     );
 
-    // Models are shared between fig7 and fig8; fit lazily.
-    let mut fitted = None;
-    let fit = |analysis: &Analysis| {
-        let traces = models::training_traces(&analysis.scenario.primary, &analysis.outcome);
-        models::fit_models(&traces).expect("model fitting needs a non-trivial cohort")
-    };
-
+    let mut runner = Runner::new(&analysis, &config, &args.settings);
     for exp in &args.exps {
         eprintln!("running {exp}...");
         let exp_span = geosocial_obs::span(exp);
-        let out: ExperimentOutput = match exp.as_str() {
-            "table1" => figures::table1(&analysis),
-            "fig1" => figures::fig1(&analysis),
-            "fig2" => figures::fig2(&analysis),
-            "fig3" => figures::fig3(&analysis),
-            "fig4" => figures::fig4(&analysis),
-            "table2" => figures::table2(&analysis),
-            "fig5" => figures::fig5(&analysis),
-            "fig6" => figures::fig6(&analysis),
-            "fig7" => models::fig7(&analysis),
-            "fig8" => {
-                if fitted.is_none() {
-                    fitted = Some(fit(&analysis));
-                }
-                let mut cfg = if args.quick { Fig8Config::quick() } else { Fig8Config::default() };
-                if args.paper_area {
-                    cfg.area_m = 100_000.0;
-                }
-                models::fig8(fitted.as_ref().unwrap(), &cfg, args.seed)
-            }
-            "dsdv" => {
-                if fitted.is_none() {
-                    fitted = Some(fit(&analysis));
-                }
-                let mut cfg = if args.quick { Fig8Config::quick() } else { Fig8Config::default() };
-                if args.paper_area {
-                    cfg.area_m = 100_000.0;
-                }
-                models::fig8_dsdv(fitted.as_ref().unwrap(), &cfg, args.seed)
-            }
-            "sweep" => extensions::alpha_beta_sweep(&analysis),
-            "detect" => extensions::detector_curve(&analysis),
-            "filter" => extensions::filter_curve(&analysis),
-            "recover" => extensions::recovery(&analysis),
-            "learned" => extensions::learned_detector(&analysis),
-            "fidelity" => extensions::model_fidelity(&analysis),
-            "rates" => extensions::category_rate_recovery(&analysis),
-            "visitdef" => extensions::visit_sensitivity(&analysis),
-            "equiv" => streaming::streaming_equivalence(&analysis, &config, args.seed),
-            "chaos" => streaming::chaos_equivalence(&analysis, args.seed),
-            "timetravel" => streaming::time_travel(&analysis, args.seed),
-            "cluster" => streaming::cluster_equivalence(&analysis, args.seed),
-            "scenarios" => {
-                scenarios::scenario_scorecards(args.quick, args.seed, args.scenarios.as_deref())
-            }
-            other => {
-                eprintln!("unknown experiment {other}");
-                print_experiment_list();
-                std::process::exit(2);
-            }
-        };
+        // parse_args admits only catalogue names.
+        let out = runner.run(exp).expect("catalogue experiment");
         let secs = exp_span.stop();
         eprintln!("exp {exp} took {secs:.2}s");
         timings.push((exp.clone(), secs));
@@ -338,7 +252,7 @@ fn main() {
     // and revisions: worker-thread count, experiment scale, and the git
     // revision that produced them.
     let threads = geosocial_par::max_threads();
-    let scale = if args.quick { "quick" } else { "paper" };
+    let scale = if args.settings.quick { "quick" } else { "paper" };
     let git = git_describe();
     let mut csv = String::from("exp,seconds,threads,scale,git\n");
     for (exp, secs) in &timings {
@@ -363,9 +277,9 @@ fn main() {
         // resulting "speedup" is noise.
         let wide = args.threads.unwrap_or(host_cpus);
         eprintln!("benchmarking Analysis::run at 1 vs {wide} threads...");
-        let serial_secs = time_analysis(&config, args.seed, 1);
+        let serial_secs = time_analysis(&config, args.settings.seed, 1);
         eprintln!("exp analysis[threads=1] took {serial_secs:.2}s");
-        let parallel_secs = time_analysis(&config, args.seed, wide);
+        let parallel_secs = time_analysis(&config, args.settings.seed, wide);
         eprintln!("exp analysis[threads={wide}] took {parallel_secs:.2}s");
         geosocial_par::set_max_threads(args.threads.unwrap_or(0));
         let speedup = if parallel_secs > 0.0 { serial_secs / parallel_secs } else { 0.0 };
@@ -378,9 +292,9 @@ fn main() {
         };
         let json = format!(
             "{{\n  \"pipeline\": \"Analysis::run\",\n  \"scale\": \"{}\",\n  \"primary_users\": {},\n  \"seed\": {},\n  \"host_cpus\": {},\n  \"threads_serial\": 1,\n  \"threads_parallel\": {},\n  \"seconds_serial\": {:.4},\n  \"seconds_parallel\": {:.4},\n  \"speedup\": {:.2}{}\n}}\n",
-            if args.quick { "quick" } else { "paper" },
+            if args.settings.quick { "quick" } else { "paper" },
             config.primary_users,
-            args.seed,
+            args.settings.seed,
             host_cpus,
             wide,
             serial_secs,

@@ -11,7 +11,7 @@ use geosocial_core::validate::{
 use geosocial_stats::Ecdf;
 
 /// Output of one experiment: a text report plus optional CSV files.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOutput {
     /// Experiment id (file-name stem, e.g. "fig1").
     pub id: String,

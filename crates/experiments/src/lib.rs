@@ -4,7 +4,9 @@
 //! experiments producing both human-readable text and CSV series.
 //!
 //! The per-experiment index lives in `DESIGN.md`; the measured-vs-paper
-//! comparison in `EXPERIMENTS.md`. The `repro` binary drives everything:
+//! comparison in `EXPERIMENTS.md`. [`catalogue::EXPERIMENTS`] is the catalogue
+//! and [`catalogue::Runner`] its one dispatcher; the `repro` binary drives
+//! everything through it:
 //!
 //! ```text
 //! cargo run --release -p geosocial-experiments --bin repro -- --exp all
@@ -32,11 +34,10 @@
 //! | `visitdef` | [`extensions::visit_sensitivity`] | visit-definition sweep (X8) |
 //! | `dsdv` | [`models::fig8_dsdv`] | Figure 8 under DSDV (X9) |
 //! | `equiv` | [`streaming::streaming_equivalence`] | online-vs-batch audit (X10) |
-//! | `chaos` | [`streaming::chaos_equivalence`] | equivalence under faults (X11) |
-//! | `timetravel` | [`streaming::time_travel`] | as-of audit vs truncated batch (X13) |
 //! | `scenarios` | [`scenarios::scenario_scorecards`] | per-scenario detector scorecards (X15) |
 
 pub mod analysis;
+pub mod catalogue;
 pub mod extensions;
 pub mod figures;
 pub mod models;

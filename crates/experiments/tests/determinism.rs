@@ -3,12 +3,25 @@
 //! The parallel execution layer promises bit-identical output for every
 //! pool width: per-user RNG streams make generation order-free, matching
 //! merges per-user partials in user order, and fig8 repetitions are
-//! independently seeded. This test runs the pipeline end to end at 1 and
-//! 4 threads and compares everything an experiment emits.
+//! independently seeded. This test runs the pipeline and every catalogue
+//! experiment end to end at 1 and 4 threads and compares everything they
+//! emit.
 
-use geosocial_experiments::figures;
-use geosocial_experiments::models::{self, Fig8Config};
+use geosocial_experiments::catalogue::{Runner, Settings, EXPERIMENTS};
+use geosocial_experiments::figures::ExperimentOutput;
 use geosocial_experiments::Analysis;
+use std::sync::{Mutex, MutexGuard};
+
+/// The pool width is process-global and the harness runs tests on
+/// parallel threads, so each test holds this lock while it sets a width
+/// and runs under it.
+static POOL_WIDTH: Mutex<()> = Mutex::new(());
+
+fn pool_width() -> MutexGuard<'static, ()> {
+    // The guarded value is `()`, so a test that panicked holding the lock
+    // left nothing inconsistent behind.
+    POOL_WIDTH.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Everything we capture from one full pipeline run.
 #[derive(Debug, PartialEq)]
@@ -19,20 +32,17 @@ struct RunFingerprint {
     total_checkins: usize,
     total_visits: usize,
     compositions: String,
-    table1_text: String,
-    fig1_text: String,
-    fig8_text: String,
-    fig8_csvs: Vec<(String, String)>,
+    outputs: Vec<ExperimentOutput>,
 }
 
 fn run_pipeline(threads: usize) -> RunFingerprint {
     geosocial_par::set_max_threads(threads);
     let config = Analysis::quick_config();
-    let seed = 20130101;
-    let a = Analysis::run(&config, seed);
-    let traces = models::training_traces(&a.scenario.primary, &a.outcome);
-    let fitted = models::fit_models(&traces).expect("quick cohort fits");
-    let fig8 = models::fig8(&fitted, &Fig8Config::quick(), seed);
+    let settings = Settings { quick: true, seed: 20130101, ..Settings::default() };
+    let a = Analysis::run(&config, settings.seed);
+    let mut runner = Runner::new(&a, &config, &settings);
+    let outputs =
+        EXPERIMENTS.iter().map(|(name, _)| runner.run(name).expect("catalogue name")).collect();
     let fp = RunFingerprint {
         honest: a.outcome.honest.len(),
         extraneous: a.outcome.extraneous.len(),
@@ -40,34 +50,33 @@ fn run_pipeline(threads: usize) -> RunFingerprint {
         total_checkins: a.outcome.total_checkins,
         total_visits: a.outcome.total_visits,
         compositions: format!("{:?}", a.compositions),
-        table1_text: figures::table1(&a).text,
-        fig1_text: figures::fig1(&a).text,
-        fig8_text: fig8.text,
-        fig8_csvs: fig8.csv.clone(),
+        outputs,
     };
     geosocial_par::set_max_threads(0);
     fp
 }
 
+fn assert_same(a: &RunFingerprint, b: &RunFingerprint, what: &str) {
+    assert_eq!(a.outputs.len(), EXPERIMENTS.len());
+    for (x, y) in a.outputs.iter().zip(&b.outputs) {
+        assert_eq!(x.text, y.text, "{} report differs {what}", x.id);
+        assert_eq!(x.csv, y.csv, "{} CSVs differ {what}", x.id);
+    }
+    assert_eq!(a.compositions, b.compositions, "per-user composition vectors differ {what}");
+    // Belt and braces: the whole fingerprint at once.
+    assert_eq!(a, b, "{what}");
+}
+
 #[test]
 fn pipeline_is_thread_count_invariant() {
+    // Every run builds fresh hash maps with fresh hash keys, so the repeat
+    // in the same process also catches output that follows map order.
+    let _width = pool_width();
     let serial = run_pipeline(1);
     let parallel = run_pipeline(4);
-    assert_eq!(
-        serial.honest, parallel.honest,
-        "honest match count differs between 1 and 4 threads"
-    );
-    assert_eq!(serial.extraneous, parallel.extraneous);
-    assert_eq!(serial.missing, parallel.missing);
-    assert_eq!(serial.total_checkins, parallel.total_checkins);
-    assert_eq!(serial.total_visits, parallel.total_visits);
-    assert_eq!(serial.compositions, parallel.compositions, "per-user composition vectors differ");
-    assert_eq!(serial.table1_text, parallel.table1_text, "table1 report differs");
-    assert_eq!(serial.fig1_text, parallel.fig1_text, "fig1 report differs");
-    assert_eq!(serial.fig8_text, parallel.fig8_text, "fig8 report differs");
-    assert_eq!(serial.fig8_csvs, parallel.fig8_csvs, "fig8 CSVs differ");
-    // Belt and braces: the whole fingerprint at once.
-    assert_eq!(serial, parallel);
+    assert_same(&serial, &parallel, "between 1 and 4 threads");
+    let again = run_pipeline(1);
+    assert_same(&serial, &again, "between two runs in one process");
 }
 
 /// Every registered scenario family must be byte-identical at any pool
@@ -78,6 +87,7 @@ fn pipeline_is_thread_count_invariant() {
 /// both easy places to lose the per-user substream discipline.
 #[test]
 fn scenario_families_are_thread_count_invariant() {
+    let _width = pool_width();
     let cfg = geosocial_scenario::PopulationConfig::small(10, 4);
     for family in geosocial_scenario::names() {
         geosocial_par::set_max_threads(1);

@@ -123,10 +123,12 @@ impl NodeState {
     }
 
     /// Invalidate every route whose next hop is `neighbor`; returns the
-    /// RERR payload for the routes that were actually usable.
+    /// RERR payload for the routes that were actually usable, by
+    /// destination (the table's own order differs from run to run).
     pub fn invalidate_via(&mut self, neighbor: NodeId, now: SimTime) -> Vec<(NodeId, u32)> {
-        let dsts: Vec<NodeId> =
+        let mut dsts: Vec<NodeId> =
             self.routes.iter().filter(|(_, r)| r.next_hop == neighbor).map(|(&d, _)| d).collect();
+        dsts.sort_unstable();
         dsts.into_iter().filter_map(|d| self.invalidate(d, now)).collect()
     }
 
@@ -152,14 +154,15 @@ impl NodeState {
     }
 
     /// Neighbors not heard from since `now - timeout`; they are removed
-    /// from the table and returned for route invalidation.
+    /// from the table and returned, in node order, for route invalidation.
     pub fn expire_neighbors(&mut self, now: SimTime, timeout: SimTime) -> Vec<NodeId> {
-        let stale: Vec<NodeId> = self
+        let mut stale: Vec<NodeId> = self
             .neighbors
             .iter()
             .filter(|(_, &last)| now - last > timeout)
             .map(|(&n, _)| n)
             .collect();
+        stale.sort_unstable();
         for n in &stale {
             self.neighbors.remove(n);
         }
@@ -258,9 +261,15 @@ mod tests {
         n.offer_route(7, 1, 5, 3, 0, LT);
         n.offer_route(8, 1, 2, 2, 0, LT);
         n.offer_route(9, 2, 9, 1, 0, LT);
-        let mut rerr = n.invalidate_via(1, 0);
-        rerr.sort();
-        assert_eq!(rerr, vec![(7, 6), (8, 3)]);
+        // Enough routes via neighbor 1 that a payload in hash-map order
+        // would almost never come out sorted.
+        for dst in (10..40).rev() {
+            n.offer_route(dst, 1, 1, 1, 0, LT);
+        }
+        let rerr = n.invalidate_via(1, 0);
+        let mut want = vec![(7, 6), (8, 3)];
+        want.extend((10..40).map(|d| (d, 2)));
+        assert_eq!(rerr, want);
         assert!(n.route(9, 0).is_some());
     }
 
@@ -279,8 +288,13 @@ mod tests {
         let mut n = NodeState::new();
         n.hear(1, 0);
         n.hear(2, 900);
+        for far in (10..40).rev() {
+            n.hear(far, 0);
+        }
         let stale = n.expire_neighbors(3_000, 2_500);
-        assert_eq!(stale, vec![1]);
+        let mut want = vec![1];
+        want.extend(10..40);
+        assert_eq!(stale, want);
         assert_eq!(n.neighbor_count(), 1);
     }
 }

@@ -35,18 +35,6 @@ pub struct SimConfig {
     pub rreq_timeout_ms: SimTime,
     /// RREQ flood TTL, hops (the network-diameter flood).
     pub rreq_ttl: u8,
-    /// Expanding-ring search (RFC 3561 §6.4): start discovery with a small
-    /// TTL and widen per retry, flooding the whole network only past the
-    /// threshold. Cheaper for nearby destinations; the ablation bench
-    /// quantifies by how much.
-    pub expanding_ring: bool,
-    /// Initial ring TTL (RFC TTL_START).
-    pub ring_ttl_start: u8,
-    /// Per-retry ring growth (RFC TTL_INCREMENT).
-    pub ring_ttl_increment: u8,
-    /// Ring TTL beyond which discovery floods at `rreq_ttl`
-    /// (RFC TTL_THRESHOLD).
-    pub ring_ttl_threshold: u8,
     /// Data packet TTL, hops.
     pub data_ttl: u8,
     /// RERR re-broadcast budget, hops.
@@ -57,10 +45,6 @@ pub struct SimConfig {
     pub sample_interval_ms: SimTime,
     /// Total simulated time, ms.
     pub duration_ms: SimTime,
-    /// Independent per-reception loss probability (fading/collisions
-    /// abstraction). 0.0 = the ideal radio the headline experiments use;
-    /// the loss ablation sweeps it.
-    pub loss_prob: f64,
 }
 
 impl Default for SimConfig {
@@ -75,16 +59,11 @@ impl Default for SimConfig {
             rreq_retries: 2,
             rreq_timeout_ms: 2_000,
             rreq_ttl: 32,
-            expanding_ring: false,
-            ring_ttl_start: 2,
-            ring_ttl_increment: 4,
-            ring_ttl_threshold: 10,
             data_ttl: 32,
             rerr_ttl: 2,
             buffer_cap: 16,
             sample_interval_ms: 1_000,
             duration_ms: 600_000,
-            loss_prob: 0.0,
         }
     }
 }
@@ -276,9 +255,6 @@ impl Simulator {
             self.trace.push(TraceEvent::Tx { t, node: from, kind: packet.label() });
         }
         for to in self.neighbors_of(from, t) {
-            if self.cfg.loss_prob > 0.0 && self.rng.gen_bool(self.cfg.loss_prob.clamp(0.0, 1.0)) {
-                continue; // reception lost at this receiver
-            }
             let jitter = self.rng.gen_range(0..3);
             self.queue.schedule(
                 t + self.cfg.hop_latency_ms + jitter,
@@ -297,13 +273,6 @@ impl Simulator {
         self.count_tx(&packet);
         if self.trace.enabled() {
             self.trace.push(TraceEvent::Tx { t, node: from, kind: packet.label() });
-        }
-        // Loss is invisible to the sender (no MAC-level ACK modeled): the
-        // transmission succeeds but the reception may be dropped, leaving
-        // recovery to AODV's own timeouts — matching how a lossy channel
-        // actually presents to the routing layer.
-        if self.cfg.loss_prob > 0.0 && self.rng.gen_bool(self.cfg.loss_prob.clamp(0.0, 1.0)) {
-            return true;
         }
         let jitter = self.rng.gen_range(0..3);
         self.queue.schedule(
@@ -408,36 +377,10 @@ impl Simulator {
 
     // --- route discovery ------------------------------------------------------
 
-    /// Flood TTL for a given discovery attempt: the full network diameter,
-    /// or — under expanding-ring search — a ring that widens per attempt
-    /// until it crosses the threshold.
-    fn ttl_for_attempt(&self, attempt: u32) -> u8 {
-        if !self.cfg.expanding_ring {
-            return self.cfg.rreq_ttl;
-        }
-        let ttl = self.cfg.ring_ttl_start as u32
-            + attempt.saturating_sub(1) * self.cfg.ring_ttl_increment as u32;
-        if ttl > self.cfg.ring_ttl_threshold as u32 {
-            self.cfg.rreq_ttl
-        } else {
-            ttl.min(u8::MAX as u32) as u8
-        }
-    }
-
-    /// Total discovery attempts before giving up. Expanding-ring search
-    /// gets the ring-growth attempts *plus* the configured full-flood
-    /// retries, mirroring RFC 3561's retry-at-NET_DIAMETER behaviour.
-    fn max_attempts(&self) -> u32 {
-        if !self.cfg.expanding_ring {
-            return 1 + self.cfg.rreq_retries;
-        }
-        let span = self.cfg.ring_ttl_threshold.saturating_sub(self.cfg.ring_ttl_start) as u32;
-        let rings = span / self.cfg.ring_ttl_increment.max(1) as u32 + 1;
-        rings + 1 + self.cfg.rreq_retries
-    }
-
+    /// Every discovery attempt floods the network diameter (`rreq_ttl`);
+    /// the timeout doubles per retry, and the first attempt plus
+    /// `rreq_retries` retries are made before the buffer is dropped.
     fn start_discovery(&mut self, node: NodeId, dst: NodeId, attempt: u32, t: SimTime) {
-        let ttl = self.ttl_for_attempt(attempt);
         let state = &mut self.nodes[node];
         state.seq += 1;
         state.rreq_id += 1;
@@ -449,20 +392,14 @@ impl Simulator {
             origin_seq: state.seq,
             dst_seq: state.route_any(dst).map(|r| r.seq).unwrap_or(0),
             hop_count: 0,
-            ttl,
+            ttl: self.cfg.rreq_ttl,
         };
         // The originator also suppresses re-processing its own flood.
         let id = state.rreq_id;
         let lifetime = 2 * self.cfg.rreq_timeout_ms;
         self.nodes[node].note_rreq(node, id, t, lifetime);
         self.broadcast(node, rreq, t);
-        // Ring traversal time scales with the ring radius (RFC 3561 §6.4);
-        // full floods use the configured timeout with exponential backoff.
-        let timeout = if self.cfg.expanding_ring && ttl < self.cfg.rreq_ttl {
-            (self.cfg.rreq_timeout_ms * ttl as i64 / self.cfg.rreq_ttl as i64).max(300)
-        } else {
-            self.cfg.rreq_timeout_ms << attempt.saturating_sub(1).min(8)
-        };
+        let timeout = self.cfg.rreq_timeout_ms << attempt.saturating_sub(1).min(8);
         self.queue.schedule(t + timeout, EventKind::RreqTimeout { node, dst, attempt });
     }
 
@@ -474,7 +411,7 @@ impl Simulator {
             self.nodes[node].pending_discovery.remove(&dst);
             return;
         }
-        if attempt < self.max_attempts() {
+        if attempt < 1 + self.cfg.rreq_retries {
             self.start_discovery(node, dst, attempt + 1, t);
         } else {
             // Give up: drop the buffered packets.
@@ -787,114 +724,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_pair_rejected() {
         Simulator::new(chain(2, 10), vec![(0, 5)], quick_cfg(1_000), 0);
-    }
-}
-
-#[cfg(test)]
-mod ring_tests {
-    use super::*;
-
-    fn chain(n: usize, duration_s: i64) -> Vec<MovementTrace> {
-        (0..n)
-            .map(|i| {
-                MovementTrace::new(vec![
-                    (0, Point::new(i as f64 * 800.0, 0.0)),
-                    (duration_s, Point::new(i as f64 * 800.0, 0.0)),
-                ])
-            })
-            .collect()
-    }
-
-    fn ring_cfg(duration_ms: SimTime) -> SimConfig {
-        SimConfig { duration_ms, expanding_ring: true, ..Default::default() }
-    }
-
-    #[test]
-    fn expanding_ring_still_delivers() {
-        // 12-hop chain: well past the ring threshold, so discovery must
-        // escalate to a full flood and still succeed.
-        let report = Simulator::new(chain(13, 180), vec![(0, 12)], ring_cfg(180_000), 1).run();
-        let p = &report.pairs[0];
-        assert!(p.delivery_ratio() > 0.7, "delivery {:.2} with expanding ring", p.delivery_ratio());
-    }
-
-    #[test]
-    fn expanding_ring_cuts_overhead_for_near_destinations() {
-        // Source 5 and destination 7 are 2 hops apart in the middle of a
-        // 13-node chain. A full flood re-broadcasts down both arms of the
-        // chain; the first small ring stops after 2 hops.
-        let run = |ring: bool| {
-            let cfg =
-                SimConfig { duration_ms: 120_000, expanding_ring: ring, ..Default::default() };
-            Simulator::new(chain(13, 120), vec![(5, 7)], cfg, 2).run()
-        };
-        let with_ring = run(true);
-        let without = run(false);
-        assert!(
-            with_ring.total_routing_tx < without.total_routing_tx,
-            "ring {} >= flood {}",
-            with_ring.total_routing_tx,
-            without.total_routing_tx
-        );
-        // Delivery must not suffer.
-        assert!(with_ring.pairs[0].delivery_ratio() > 0.9);
-    }
-
-    #[test]
-    fn ttl_schedule_grows_to_full() {
-        let cfg = SimConfig { expanding_ring: true, ..Default::default() };
-        let sim = Simulator::new(chain(2, 10), vec![(0, 1)], cfg, 0);
-        assert_eq!(sim.ttl_for_attempt(1), 2);
-        assert_eq!(sim.ttl_for_attempt(2), 6);
-        assert_eq!(sim.ttl_for_attempt(3), 10);
-        // Past the threshold: full diameter.
-        assert_eq!(sim.ttl_for_attempt(4), 32);
-        assert!(sim.max_attempts() >= 5);
-        // Without the ring: always full, 1 + retries attempts.
-        let flat = Simulator::new(chain(2, 10), vec![(0, 1)], SimConfig::default(), 0);
-        assert_eq!(flat.ttl_for_attempt(1), 32);
-        assert_eq!(flat.max_attempts(), 3);
-    }
-}
-
-#[cfg(test)]
-mod loss_tests {
-    use super::*;
-
-    fn chain(n: usize, duration_s: i64) -> Vec<MovementTrace> {
-        (0..n)
-            .map(|i| {
-                MovementTrace::new(vec![
-                    (0, Point::new(i as f64 * 800.0, 0.0)),
-                    (duration_s, Point::new(i as f64 * 800.0, 0.0)),
-                ])
-            })
-            .collect()
-    }
-
-    #[test]
-    fn moderate_loss_degrades_but_does_not_kill_delivery() {
-        let run = |loss: f64| {
-            let cfg = SimConfig { duration_ms: 120_000, loss_prob: loss, ..Default::default() };
-            Simulator::new(chain(4, 120), vec![(0, 3)], cfg, 5).run()
-        };
-        let clean = run(0.0);
-        let lossy = run(0.15);
-        assert!(clean.pairs[0].delivery_ratio() > lossy.pairs[0].delivery_ratio());
-        assert!(
-            lossy.pairs[0].delivery_ratio() > 0.3,
-            "15% loss should not collapse a 3-hop chain: {:.2}",
-            lossy.pairs[0].delivery_ratio()
-        );
-    }
-
-    #[test]
-    fn total_loss_delivers_nothing() {
-        let cfg = SimConfig { duration_ms: 30_000, loss_prob: 1.0, ..Default::default() };
-        let report = Simulator::new(chain(3, 30), vec![(0, 2)], cfg, 6).run();
-        assert_eq!(report.pairs[0].data_delivered, 0);
-        // Transmissions still happen (and are counted) — receptions fail.
-        assert!(report.total_routing_tx > 0);
     }
 }
 

@@ -23,7 +23,11 @@
 #      prints must round-trip through `repro --scenario NAME` and appear
 #      in the emitted scorecard, and the committed BENCH_scenario.json
 #      (scripts/bench_scenario.sh) must cover the whole registry with
-#      batch-verified replays.
+#      batch-verified replays,
+#   6. a results gate: `repro --exp all` at paper scale, once at
+#      --threads 1 and once at --threads 2, each diffed byte for byte
+#      against the committed results/ (timings.csv is wall-clock and
+#      excluded).
 #
 # Usage: scripts/check.sh
 # Exits non-zero on the first failure.
@@ -199,5 +203,16 @@ scen_verified="$(grep -c '"verified": true' BENCH_scenario.json || true)"
 [ "$scen_verified" -ge "$scen_count" ] \
     || { echo "error: BENCH_scenario.json has $scen_verified verified rows (need $scen_count)" >&2; exit 1; }
 echo "   $scen_count families benched, all batch-verified"
+
+echo "==> results gate: repro --exp all reproduces results/ byte for byte"
+for threads in 1 2; do
+    res_dir="$(mktemp -d -t results_gate.XXXXXX)"
+    ./target/release/repro --exp all --threads "$threads" --out "$res_dir" >/dev/null 2>&1 \
+        || { echo "error: repro --exp all --threads $threads failed" >&2; rm -rf "$res_dir"; exit 1; }
+    diff -r --exclude=timings.csv results "$res_dir" \
+        || { echo "error: results/ differs from a --threads $threads regeneration" >&2; rm -rf "$res_dir"; exit 1; }
+    rm -rf "$res_dir"
+    echo "   --threads $threads: byte-identical to results/"
+done
 
 echo "==> all checks passed"

@@ -40,7 +40,8 @@
 #                      (check.sh gates their contents; this catches a
 #                      half-written or hand-mangled report early)
 #  10. check.sh      — tier-1 gate + serving/observability smokes over a
-#                      real TCP server, plus the committed-bench gates
+#                      real TCP server, the committed-bench gates, and the
+#                      byte-for-byte results/ regeneration gate
 #
 # Usage: scripts/ci.sh [step...]   (no args = all steps)
 # Steps: fmt clippy build test chaos wire trace cluster store scenario
@@ -67,9 +68,8 @@ if want clippy; then
     cargo clippy --workspace --all-targets -- -D warnings
     echo "==> ci: clippy (fault-inject feature chain)"
     cargo clippy -p geosocial-fault -p geosocial-store -p geosocial-serve \
-        -p geosocial-experiments \
         --all-targets \
-        --features geosocial-fault/inject,geosocial-serve/fault-inject,geosocial-experiments/fault-inject \
+        --features geosocial-fault/inject,geosocial-serve/fault-inject \
         -- -D warnings
     echo "==> ci: clippy (obs noop)"
     cargo clippy -p geosocial-obs --all-targets --features noop -- -D warnings
@@ -83,7 +83,7 @@ if want build; then
     echo "==> ci: release build (obs compiled out)"
     cargo build --release -p geosocial-serve --features geosocial-obs/noop
     echo "==> ci: release build (fault injection armed)"
-    cargo build --release -p geosocial-experiments --features fault-inject
+    cargo build --release -p geosocial-serve --features fault-inject
 fi
 
 if want test; then
