@@ -32,11 +32,9 @@
 //!   or fail the flush outright once (the bytes stay buffered and the
 //!   next flush re-rolls).
 //!
-//! Without the `inject` feature both decision functions are constant
-//! no-fault answers, so release builds compile every injection site out —
-//! the same discipline as `geosocial-obs`'s `noop` feature. Parsing and
-//! the counters stay available in both modes so CLIs and reports behave
-//! identically.
+//! Injection is a run-time decision: [`FaultPlan::none`] (the default in
+//! every config) never fires, so each injection site costs one branch on
+//! a shard's per-event path and one hash per store flush.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,9 +130,7 @@ struct Fired {
     kills: AtomicU64,
     short_writes: AtomicU64,
     flush_fails: AtomicU64,
-    /// Only touched by the armed `should_kill`; present unconditionally so
-    /// the struct layout (and `Clone` sharing) is feature-independent.
-    #[cfg_attr(not(feature = "inject"), allow(dead_code))]
+    /// Set by the one `should_kill` that fires.
     kill_consumed: AtomicBool,
 }
 
@@ -197,7 +193,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An inert plan: no faults regardless of features.
+    /// An inert plan: no fault ever fires.
     pub fn none() -> Self {
         Self::default()
     }
@@ -246,7 +242,10 @@ impl FaultPlan {
     /// * `prockill=SHARD@MS` — one-shot SIGKILL of the whole shard
     ///   process with cluster map entry id SHARD, MS milliseconds into
     ///   the replay (delivered by the chaos harness, not an injection
-    ///   site, so it fires even without the `inject` feature).
+    ///   site).
+    ///
+    /// The frame rates (`truncate+abort+stall`) and the flush rates
+    /// (`short+flushfail`) must each sum to at most 1000.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = Self::default();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -306,12 +305,22 @@ impl FaultPlan {
                 other => return Err(format!("unknown fault key `{other}`")),
             }
         }
+        // Each family's rates split one roll out of 1000, so a sum past
+        // 1000 would silently starve the later kinds.
+        let frame = u32::from(plan.truncate_per_mille)
+            + u32::from(plan.abort_per_mille)
+            + u32::from(plan.stall_per_mille);
+        let flush = u32::from(plan.short_write_per_mille) + u32::from(plan.flush_fail_per_mille);
+        for (family, sum) in [("truncate+abort+stall", frame), ("short+flushfail", flush)] {
+            if sum > 1000 {
+                return Err(format!("fault {family} rates sum to {sum}, max 1000 per mille"));
+            }
+        }
         Ok(plan)
     }
 
     /// Decide the fate of frame `index` of lane `lane` on delivery attempt
     /// `attempt`. Deterministic; counts what it returns.
-    #[cfg(feature = "inject")]
     pub fn frame_fault(&self, lane: u64, index: u64, attempt: u32) -> FrameFault {
         let roll = mix_all(&[self.seed, lane, index, attempt as u64]) % 1000;
         let truncate_below = self.truncate_per_mille as u64;
@@ -331,18 +340,10 @@ impl FaultPlan {
         }
     }
 
-    /// Fault injection compiled out: every frame is delivered normally.
-    #[cfg(not(feature = "inject"))]
-    #[inline(always)]
-    pub fn frame_fault(&self, _lane: u64, _index: u64, _attempt: u32) -> FrameFault {
-        FrameFault::None
-    }
-
     /// True exactly once, when `shard` is about to apply its
     /// `ingest_index`-th ingest and the plan schedules a kill there. The
     /// one-shot is consumed across all clones, so the retry of the killed
     /// command proceeds.
-    #[cfg(feature = "inject")]
     pub fn should_kill(&self, shard: usize, ingest_index: u64) -> bool {
         let Some(kill) = self.kill else { return false };
         if kill.shard != shard || ingest_index < kill.at_ingest {
@@ -357,18 +358,10 @@ impl FaultPlan {
         true
     }
 
-    /// Fault injection compiled out: shards never crash on purpose.
-    #[cfg(not(feature = "inject"))]
-    #[inline(always)]
-    pub fn should_kill(&self, _shard: usize, _ingest_index: u64) -> bool {
-        false
-    }
-
     /// Decide the fate of flush operation `op` of the store serving shard
     /// `shard`. Deterministic; counts what it returns. Retried flushes use
     /// a fresh `op` index, so a failed flush re-rolls rather than failing
     /// forever.
-    #[cfg(feature = "inject")]
     pub fn fs_fault(&self, shard: u64, op: u64) -> FsFault {
         let roll = mix_all(&[self.seed, 0x6673_5F66_6175_6C74, shard, op]) % 1000;
         let short_below = self.short_write_per_mille as u64;
@@ -384,13 +377,6 @@ impl FaultPlan {
         }
     }
 
-    /// Fault injection compiled out: every flush completes normally.
-    #[cfg(not(feature = "inject"))]
-    #[inline(always)]
-    pub fn fs_fault(&self, _shard: u64, _op: u64) -> FsFault {
-        FsFault::None
-    }
-
     /// How many faults of each kind actually fired so far.
     pub fn injected(&self) -> FaultCounts {
         FaultCounts {
@@ -401,11 +387,6 @@ impl FaultPlan {
             short_writes: self.fired.short_writes.load(Ordering::Relaxed),
             flush_fails: self.fired.flush_fails.load(Ordering::Relaxed),
         }
-    }
-
-    /// Whether injection is compiled in (`inject` feature).
-    pub const fn armed() -> bool {
-        cfg!(feature = "inject")
     }
 }
 
@@ -470,6 +451,27 @@ mod tests {
         assert!(FaultPlan::parse("prockill=3").is_err());
         assert!(FaultPlan::parse("prockill=x@10").is_err());
         assert!(FaultPlan::parse("wat=1").is_err());
+        for (spec, family) in [
+            ("truncate=600,abort=600", "truncate+abort+stall"),
+            ("short=700,flushfail=700", "short+flushfail"),
+        ] {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(err.contains(family), "{spec}: {err}");
+        }
+        assert!(FaultPlan::parse("truncate=500,abort=300,stall=200:10").is_ok());
+    }
+
+    /// `FaultPlan::none()` is every production config's plan: it never
+    /// fires and never counts, whatever the index.
+    #[test]
+    fn inert_plan_never_fires() {
+        let plan = FaultPlan::none();
+        for i in 0..10_000u64 {
+            assert_eq!(plan.frame_fault(i % 7, i, (i % 3) as u32), FrameFault::None);
+            assert_eq!(plan.fs_fault(i % 5, i), FsFault::None);
+            assert!(!plan.should_kill((i % 4) as usize, i));
+        }
+        assert_eq!(plan.injected().total(), 0);
     }
 
     #[test]
@@ -483,63 +485,57 @@ mod tests {
         assert!(backoff_ms(7, 1, 10, 10, 2_000) >= 1_000, "late attempts reach the cap window");
     }
 
-    #[cfg(feature = "inject")]
-    mod armed {
-        use super::super::*;
+    #[test]
+    fn frame_faults_are_deterministic_and_counted() {
+        let plan = FaultPlan::aggressive(99, ShardKill { shard: 0, at_ingest: 0 }, 50);
+        let first: Vec<FrameFault> = (0..4_000).map(|i| plan.frame_fault(1, i, 0)).collect();
+        let replay = FaultPlan::aggressive(99, ShardKill { shard: 0, at_ingest: 0 }, 50);
+        let second: Vec<FrameFault> = (0..4_000).map(|i| replay.frame_fault(1, i, 0)).collect();
+        assert_eq!(first, second, "decisions are pure in (seed, lane, index, attempt)");
+        let counts = plan.injected();
+        assert!(counts.truncated > 0, "aggressive plan never truncated in 4000 frames");
+        assert!(counts.aborted > 0, "aggressive plan never aborted in 4000 frames");
+        assert!(counts.stalled > 0, "aggressive plan never stalled in 4000 frames");
+        // A retried frame re-rolls: not every faulted frame stays faulted.
+        let refaulted = (0..4_000)
+            .filter(|&i| {
+                plan.frame_fault(1, i, 0) != FrameFault::None
+                    && plan.frame_fault(1, i, 1) != FrameFault::None
+            })
+            .count();
+        let faulted = (0..4_000).filter(|&i| plan.frame_fault(1, i, 0) != FrameFault::None).count();
+        assert!(refaulted < faulted, "attempt number must re-roll the decision");
+    }
 
-        #[test]
-        fn frame_faults_are_deterministic_and_counted() {
-            let plan = FaultPlan::aggressive(99, ShardKill { shard: 0, at_ingest: 0 }, 50);
-            let first: Vec<FrameFault> = (0..4_000).map(|i| plan.frame_fault(1, i, 0)).collect();
-            let replay = FaultPlan::aggressive(99, ShardKill { shard: 0, at_ingest: 0 }, 50);
-            let second: Vec<FrameFault> = (0..4_000).map(|i| replay.frame_fault(1, i, 0)).collect();
-            assert_eq!(first, second, "decisions are pure in (seed, lane, index, attempt)");
-            let counts = plan.injected();
-            assert!(counts.truncated > 0, "aggressive plan never truncated in 4000 frames");
-            assert!(counts.aborted > 0, "aggressive plan never aborted in 4000 frames");
-            assert!(counts.stalled > 0, "aggressive plan never stalled in 4000 frames");
-            // A retried frame re-rolls: not every faulted frame stays faulted.
-            let refaulted = (0..4_000)
-                .filter(|&i| {
-                    plan.frame_fault(1, i, 0) != FrameFault::None
-                        && plan.frame_fault(1, i, 1) != FrameFault::None
-                })
-                .count();
-            let faulted =
-                (0..4_000).filter(|&i| plan.frame_fault(1, i, 0) != FrameFault::None).count();
-            assert!(refaulted < faulted, "attempt number must re-roll the decision");
-        }
+    #[test]
+    fn fs_faults_are_deterministic_counted_and_rerolled() {
+        let plan = FaultPlan::aggressive(13, ShardKill { shard: 0, at_ingest: 0 }, 50);
+        let first: Vec<FsFault> = (0..2_000).map(|op| plan.fs_fault(1, op)).collect();
+        let replay = FaultPlan::aggressive(13, ShardKill { shard: 0, at_ingest: 0 }, 50);
+        let second: Vec<FsFault> = (0..2_000).map(|op| replay.fs_fault(1, op)).collect();
+        assert_eq!(first, second, "decisions are pure in (seed, shard, op)");
+        let counts = plan.injected();
+        assert!(counts.short_writes > 0, "aggressive plan never tore a flush in 2000 ops");
+        assert!(counts.flush_fails > 0, "aggressive plan never failed a flush in 2000 ops");
+        // A failed flush retried under the next op index must not fail
+        // forever: some op after every failure flushes clean.
+        let fails: Vec<u64> =
+            (0..2_000).filter(|&op| first[op as usize] == FsFault::FlushFail).collect();
+        assert!(
+            fails.iter().any(|&op| first.get(op as usize + 1) == Some(&FsFault::None)),
+            "every flush failure was followed by another fault"
+        );
+    }
 
-        #[test]
-        fn fs_faults_are_deterministic_counted_and_rerolled() {
-            let plan = FaultPlan::aggressive(13, ShardKill { shard: 0, at_ingest: 0 }, 50);
-            let first: Vec<FsFault> = (0..2_000).map(|op| plan.fs_fault(1, op)).collect();
-            let replay = FaultPlan::aggressive(13, ShardKill { shard: 0, at_ingest: 0 }, 50);
-            let second: Vec<FsFault> = (0..2_000).map(|op| replay.fs_fault(1, op)).collect();
-            assert_eq!(first, second, "decisions are pure in (seed, shard, op)");
-            let counts = plan.injected();
-            assert!(counts.short_writes > 0, "aggressive plan never tore a flush in 2000 ops");
-            assert!(counts.flush_fails > 0, "aggressive plan never failed a flush in 2000 ops");
-            // A failed flush retried under the next op index must not fail
-            // forever: some op after every failure flushes clean.
-            let fails: Vec<u64> =
-                (0..2_000).filter(|&op| first[op as usize] == FsFault::FlushFail).collect();
-            assert!(
-                fails.iter().any(|&op| first.get(op as usize + 1) == Some(&FsFault::None)),
-                "every flush failure was followed by another fault"
-            );
-        }
-
-        #[test]
-        fn shard_kill_fires_exactly_once_across_clones() {
-            let plan = FaultPlan::aggressive(7, ShardKill { shard: 2, at_ingest: 10 }, 50);
-            let clone = plan.clone();
-            assert!(!plan.should_kill(2, 9), "before the planned ingest");
-            assert!(!plan.should_kill(1, 10), "wrong shard");
-            assert!(plan.should_kill(2, 10), "fires at the planned point");
-            assert!(!clone.should_kill(2, 10), "one-shot is shared across clones");
-            assert!(!plan.should_kill(2, 11), "never re-fires");
-            assert_eq!(plan.injected().kills, 1);
-        }
+    #[test]
+    fn shard_kill_fires_exactly_once_across_clones() {
+        let plan = FaultPlan::aggressive(7, ShardKill { shard: 2, at_ingest: 10 }, 50);
+        let clone = plan.clone();
+        assert!(!plan.should_kill(2, 9), "before the planned ingest");
+        assert!(!plan.should_kill(1, 10), "wrong shard");
+        assert!(plan.should_kill(2, 10), "fires at the planned point");
+        assert!(!clone.should_kill(2, 10), "one-shot is shared across clones");
+        assert!(!plan.should_kill(2, 11), "never re-fires");
+        assert_eq!(plan.injected().kills, 1);
     }
 }

@@ -16,8 +16,9 @@
 //!   `GEOSOCIAL_LOG_FORMAT=json` switches to JSON lines.
 //! * **Metrics** ([`counter`], [`gauge`], [`histogram`]) — a global
 //!   registry of lock-free atomic instruments. Registration takes a
-//!   mutex once per call site; the returned handles are plain atomics,
-//!   so the hot path never locks. Histograms use log₂ buckets.
+//!   mutex once per call site ([`cached!`] caches a fixed-name series
+//!   in a static); the returned handles are plain atomics, so the hot
+//!   path never locks. Histograms use log₂ buckets.
 //!   [`render_text`] emits the whole registry in a line-oriented text
 //!   exposition format; [`snapshot`] returns it programmatically.
 //! * **Span timers** ([`span`] / [`span!`]) — RAII guards that time a

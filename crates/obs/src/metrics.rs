@@ -270,6 +270,22 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     Arc::clone(map.entry(name.to_string()).or_default())
 }
 
+/// Define `fn NAME() -> &'static Type` for one fixed-name series: the
+/// registry lookup runs on the first call and a static caches the handle
+/// after it, so a hot path never takes the registry mutex —
+/// `obs::cached!(verdicts, counter, Counter, "serve.verdicts");`.
+#[macro_export]
+macro_rules! cached {
+    ($(#[$doc:meta])* $fn_name:ident, $ctor:ident, $ty:ident, $name:literal) => {
+        $(#[$doc])*
+        pub(crate) fn $fn_name() -> &'static $crate::$ty {
+            static H: ::std::sync::OnceLock<::std::sync::Arc<$crate::$ty>> =
+                ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::$ctor($name))
+        }
+    };
+}
+
 /// Point-in-time copy of the whole registry.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -379,6 +395,13 @@ pub fn history(last: usize) -> Vec<HistoryPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cached_series_is_the_registered_handle() {
+        crate::cached!(probe, histogram, Histogram, "test.cached.probe");
+        assert!(std::ptr::eq(probe(), probe()));
+        assert!(std::ptr::eq(probe(), &*histogram("test.cached.probe")));
+    }
 
     #[test]
     fn bucket_boundaries() {

@@ -375,23 +375,9 @@ pub fn task_span(name: &str, start_us: u64, dur_us: u64, flags: u8) {
 
 #[cfg(not(feature = "noop"))]
 mod metrics {
-    use crate::metrics::{counter, Counter};
-    use std::sync::{Arc, OnceLock};
-
-    pub(super) fn spans_recorded() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("trace.spans_recorded"))
-    }
-
-    pub(super) fn spans_kept() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("trace.spans_kept"))
-    }
-
-    pub(super) fn spans_dropped() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("trace.spans_dropped"))
-    }
+    crate::cached!(spans_recorded, counter, Counter, "trace.spans_recorded");
+    crate::cached!(spans_kept, counter, Counter, "trace.spans_kept");
+    crate::cached!(spans_dropped, counter, Counter, "trace.spans_dropped");
 }
 
 // ---------------------------------------------------------------------------

@@ -35,41 +35,31 @@ use std::thread;
 /// process-global: every `par_map`/`par_reduce` call in the process feeds
 /// the same counters.
 mod metrics {
-    use geosocial_obs::{counter, gauge, histogram, Counter, Gauge, Histogram};
-    use std::sync::{Arc, OnceLock};
+    use geosocial_obs::cached;
 
-    /// Items executed by [`crate::par_map`]/[`crate::par_map_indexed`]
-    /// (serial and parallel paths alike).
-    pub(crate) fn tasks() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("par.tasks"))
-    }
-
-    /// Per-item execution time (µs) on the parallel map path.
-    pub(crate) fn task_us() -> &'static Histogram {
-        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-        H.get_or_init(|| histogram("par.task_us"))
-    }
-
-    /// Per-chunk fold time (µs) on the parallel reduce path.
-    pub(crate) fn chunk_us() -> &'static Histogram {
-        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-        H.get_or_init(|| histogram("par.chunk_us"))
-    }
-
-    /// Cumulative busy time (µs) across all workers of all parallel calls.
-    pub(crate) fn worker_busy_us() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("par.worker_busy_us"))
-    }
-
-    /// Worker utilization of the most recent parallel call:
-    /// `100 × Σ busy / (wall × threads)`. 100 means every worker was
-    /// executing items for the whole call.
-    pub(crate) fn utilization_pct() -> &'static Gauge {
-        static H: OnceLock<Arc<Gauge>> = OnceLock::new();
-        H.get_or_init(|| gauge("par.utilization_pct"))
-    }
+    cached!(
+        /// Items executed by [`crate::par_map`]/[`crate::par_map_indexed`]
+        /// (serial and parallel paths alike).
+        tasks, counter, Counter, "par.tasks"
+    );
+    cached!(
+        /// Per-item execution time (µs) on the parallel map path.
+        task_us, histogram, Histogram, "par.task_us"
+    );
+    cached!(
+        /// Per-chunk fold time (µs) on the parallel reduce path.
+        chunk_us, histogram, Histogram, "par.chunk_us"
+    );
+    cached!(
+        /// Cumulative busy time (µs) across all workers of all parallel calls.
+        worker_busy_us, counter, Counter, "par.worker_busy_us"
+    );
+    cached!(
+        /// Worker utilization of the most recent parallel call:
+        /// `100 × Σ busy / (wall × threads)`. 100 means every worker was
+        /// executing items for the whole call.
+        utilization_pct, gauge, Gauge, "par.utilization_pct"
+    );
 }
 
 /// Programmatic thread-count override; 0 = not set.

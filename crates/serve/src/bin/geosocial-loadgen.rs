@@ -7,7 +7,7 @@
 //! `scripts/check.sh`.
 
 use geosocial_fault::FaultPlan;
-use geosocial_serve::loadgen::{cluster_info, drain_server, run, shutdown_server, LoadgenConfig};
+use geosocial_serve::loadgen::{cluster_info, run, shutdown_server, LoadgenConfig};
 use geosocial_serve::server::{spawn, ServerConfig};
 use std::net::SocketAddr;
 use std::process::exit;
@@ -36,17 +36,13 @@ usage: geosocial-loadgen [options]
                      --wire binary for the fast path)
   --verify           diff served compositions against the batch pipeline
   --retries N        reconnect attempts per lane before giving up (default 8)
-  --backoff-base MS  base backoff window in milliseconds (default 10)
-  --backoff-max MS   backoff window cap in milliseconds (default 2000)
   --fault SPEC       client fault plan, e.g. seed=42,truncate=20,stall=5:300
-                     (inert unless built with --features fault-inject; the
-                     kill= entry also arms the spawned server when --spawn)
+                     (with --spawn the in-process server shares it, so
+                     kill=, short= and flushfail= entries fire there too)
   --trace-sample N   record 1/N of frames as end-to-end traces (default 64;
                      0 disables tracing; retried deliveries always record)
   --trace-out PATH   after the replay, dump every collected span as Chrome
                      trace-event JSON (chrome://tracing / Perfetto)
-  --drain            request a finalizing Drain (report residual state)
-                     before Shutdown
   --out PATH         report path (default loadgen-report.json)
   --shutdown         send Shutdown when done (implied by --spawn)
   --help             print this message";
@@ -57,25 +53,23 @@ struct Cli {
     spawn: bool,
     shards: usize,
     shutdown: bool,
-    drain: bool,
     out: String,
     trace_out: Option<String>,
     load: LoadgenConfig,
 }
 
-fn parse_args() -> Result<Cli, String> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
         addr: "127.0.0.1:7744".to_string(),
         router: false,
         spawn: false,
         shards: 4,
         shutdown: false,
-        drain: false,
         out: "loadgen-report.json".to_string(),
         trace_out: None,
         load: LoadgenConfig::default(),
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
@@ -126,30 +120,12 @@ fn parse_args() -> Result<Cli, String> {
                 cli.load.retry.max_retries =
                     value("--retries")?.parse().map_err(|e| format!("--retries: {e}"))?;
             }
-            "--backoff-base" => {
-                cli.load.retry.base_ms =
-                    value("--backoff-base")?.parse().map_err(|e| format!("--backoff-base: {e}"))?;
-            }
-            "--backoff-max" => {
-                cli.load.retry.max_ms =
-                    value("--backoff-max")?.parse().map_err(|e| format!("--backoff-max: {e}"))?;
-            }
-            "--fault" => {
-                cli.load.fault = FaultPlan::parse(&value("--fault")?)?;
-                if !cli.load.fault.is_inert() && !FaultPlan::armed() {
-                    geosocial_obs::warn!(
-                        "loadgen",
-                        "fault plan given but injection is compiled out \
-                         (rebuild with --features fault-inject)"
-                    );
-                }
-            }
+            "--fault" => cli.load.fault = FaultPlan::parse(&value("--fault")?)?,
             "--trace-sample" => {
                 cli.load.trace_sample =
                     value("--trace-sample")?.parse().map_err(|e| format!("--trace-sample: {e}"))?;
             }
             "--trace-out" => cli.trace_out = Some(value("--trace-out")?),
-            "--drain" => cli.drain = true,
             "--out" => cli.out = value("--out")?,
             "--shutdown" => cli.shutdown = true,
             "--help" | "-h" => {
@@ -163,7 +139,7 @@ fn parse_args() -> Result<Cli, String> {
 }
 
 fn main() {
-    let cli = match parse_args() {
+    let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(e) => {
             geosocial_obs::error!("loadgen", "{e}");
@@ -178,8 +154,9 @@ fn main() {
     }
 
     let (addr, handle): (SocketAddr, Option<_>) = if cli.spawn {
-        // Share the fault plan with the spawned server so a kill= entry
-        // crashes (and recovers) a real shard worker in-process.
+        // Share the fault plan with the spawned server so kill= crashes
+        // (and recovers) a real shard worker and short=/flushfail= tear
+        // its store flushes.
         let config = ServerConfig {
             shards: cli.shards,
             fault: cli.load.fault.clone(),
@@ -243,20 +220,6 @@ fn main() {
     };
     report.cluster = cluster;
 
-    if cli.drain {
-        match drain_server(addr, true) {
-            Ok(report) => println!(
-                "drain: {} users over {} shards; flushed {} verdicts \
-                 ({} pending checkins forced, {} open visits)",
-                report.users,
-                report.shards,
-                report.verdicts_flushed,
-                report.forced_by_drain,
-                report.open_visits,
-            ),
-            Err(e) => geosocial_obs::warn!("loadgen", "drain: {e}"),
-        }
-    }
     if cli.shutdown || cli.spawn {
         if let Err(e) = shutdown_server(addr) {
             geosocial_obs::warn!("loadgen", "shutdown: {e}");
@@ -364,5 +327,57 @@ fn main() {
             exit(1);
         }
         None => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flags `USAGE` documents: the first word of each option line.
+    fn documented_flags() -> Vec<&'static str> {
+        USAGE
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .filter(|w| w.starts_with("--") && *w != "--help")
+            .collect()
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn every_documented_flag_parses() {
+        let flags = documented_flags();
+        assert_eq!(flags.len(), 22, "{flags:?}");
+        for flag in flags {
+            let words = match flag {
+                // Prints the registry and exits the process.
+                "--list-scenarios" => continue,
+                "--router" | "--spawn" | "--verify" | "--shutdown" => vec![flag],
+                "--addr" => vec![flag, "127.0.0.1:0"],
+                "--scenario" => vec![flag, "tourists"],
+                "--wire" => vec![flag, "binary"],
+                "--fault" => vec![flag, "seed=42,truncate=20,kill=1@500"],
+                "--out" | "--trace-out" => vec![flag, "report.json"],
+                // 0 = no override, so the process-global pool width stays unset.
+                "--threads" => vec![flag, "0"],
+                _ => vec![flag, "1"],
+            };
+            if let Err(e) = parse_args(args(&words)) {
+                panic!("{words:?}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn removed_flags_are_unknown() {
+        for flag in ["--backoff-base", "--backoff-max", "--drain"] {
+            match parse_args(args(&[flag, "1"])) {
+                Err(e) => assert!(e.contains("unknown flag"), "{flag}: {e}"),
+                Ok(_) => panic!("{flag} still parses"),
+            }
+        }
     }
 }

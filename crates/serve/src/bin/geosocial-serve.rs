@@ -10,7 +10,6 @@
 //! `GEOSOCIAL_LOG` to filter (e.g. `GEOSOCIAL_LOG=debug`, `=off`) and
 //! `GEOSOCIAL_LOG_FORMAT=json` for JSON lines.
 
-use geosocial_fault::FaultPlan;
 use geosocial_serve::server::{run_with, ServerConfig};
 use std::net::TcpListener;
 use std::process::exit;
@@ -36,8 +35,6 @@ usage: geosocial-serve [options]
   --flush-bytes N    flush the store log after N buffered bytes (default
                      65536; 0 = flush every append, so acked events survive
                      a SIGKILL — what cluster handoff under chaos relies on)
-  --fault SPEC       fault plan, e.g. seed=42,truncate=20,stall=5:300,kill=1@500
-                     (inert unless built with --features fault-inject)
   --help             print this message";
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(String, ServerConfig), String> {
@@ -95,16 +92,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(String, ServerC
             "--flush-bytes" => {
                 config.flush_bytes =
                     value("--flush-bytes")?.parse().map_err(|e| format!("--flush-bytes: {e}"))?;
-            }
-            "--fault" => {
-                config.fault = FaultPlan::parse(&value("--fault")?)?;
-                if !config.fault.is_inert() && !FaultPlan::armed() {
-                    geosocial_obs::warn!(
-                        "serve",
-                        "fault plan given but injection is compiled out \
-                         (rebuild with --features fault-inject)"
-                    );
-                }
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -164,12 +151,11 @@ mod tests {
     #[test]
     fn every_documented_flag_parses() {
         let flags = documented_flags();
-        assert_eq!(flags.len(), 11, "{flags:?}");
+        assert_eq!(flags.len(), 10, "{flags:?}");
         for flag in flags {
             let sample = match flag {
                 "--addr" => "127.0.0.1:0",
                 "--store-dir" => "store",
-                "--fault" => "seed=42",
                 _ => "1",
             };
             if let Err(e) = parse_args(args(&[flag, sample])) {
@@ -180,7 +166,7 @@ mod tests {
 
     #[test]
     fn removed_flags_are_unknown() {
-        for flag in ["--alpha", "--beta", "--lateness", "--trace-slow-us"] {
+        for flag in ["--alpha", "--beta", "--lateness", "--trace-slow-us", "--fault"] {
             match parse_args(args(&[flag, "1"])) {
                 Err(e) => assert!(e.contains("unknown flag"), "{flag}: {e}"),
                 Ok(_) => panic!("{flag} still parses"),

@@ -25,10 +25,10 @@
 //! events still re-sent are deduplicated by sequence number and the
 //! verdict stream is unperturbed.
 //!
-//! With the `fault-inject` feature a [`FaultPlan`] decides, per frame and
-//! per delivery attempt, whether to truncate the frame and kill the
-//! connection or stall past the server's read timeout — the controlled
-//! noise behind the chaos equivalence test.
+//! A non-inert [`FaultPlan`] decides, per frame and per delivery attempt,
+//! whether to truncate the frame and kill the connection, abort it, or
+//! stall past the server's read timeout — the controlled noise behind the
+//! chaos equivalence test. The default plan never fires.
 //!
 //! After the replay, a control connection finalizes the stream (`Finish`),
 //! snapshots the server counters (`Stats`), and — with `verify` — diffs the
@@ -56,8 +56,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    read_frame_into, read_msg, write_msg, DrainReport, Request, Response, ServerStats,
-    ShardMapInfo, WireFix,
+    read_frame_into, read_msg, write_msg, Request, Response, ServerStats, ShardMapInfo, WireFix,
 };
 use crate::server::shard_of;
 use crate::wire::{self, WireFormat};
@@ -99,7 +98,7 @@ pub struct LoadgenConfig {
     pub verify: bool,
     /// Reconnect/backoff behavior on connection failure.
     pub retry: RetryPolicy,
-    /// Client-side fault plan (inert unless built with `fault-inject`).
+    /// Client-side fault plan (default inert).
     pub fault: FaultPlan,
     /// Payload encoding for replayed frames (`--wire json|binary`).
     pub wire: WireFormat,
@@ -1102,15 +1101,6 @@ pub fn cluster_info(addr: SocketAddr) -> io::Result<Option<ShardMapInfo>> {
         Response::ShardMap { map } => Ok(Some(map)),
         Response::Error { .. } => Ok(None),
         other => Err(io::Error::other(format!("shard-map: unexpected reply {other:?}"))),
-    }
-}
-
-/// Ask the server for its residual state; with `finalize` this flushes
-/// everything still pending first (call it right before [`shutdown_server`]).
-pub fn drain_server(addr: SocketAddr, finalize: bool) -> io::Result<DrainReport> {
-    match control_request(addr, &Request::Drain { finalize })? {
-        Response::Drained { report } => Ok(report),
-        other => Err(io::Error::other(format!("drain: unexpected reply {other:?}"))),
     }
 }
 

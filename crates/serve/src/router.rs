@@ -67,17 +67,7 @@ use crate::wire::{self, RoutePeek, WireFormat};
 use geosocial_obs::trace::{self, SpanRecord, TraceContext};
 
 mod metrics {
-    use geosocial_obs::{counter, histogram, Counter, Histogram};
-    use std::sync::{Arc, OnceLock};
-
-    macro_rules! cached {
-        ($fn_name:ident, $ctor:ident, $ty:ty, $name:literal) => {
-            pub(super) fn $fn_name() -> &'static $ty {
-                static H: OnceLock<Arc<$ty>> = OnceLock::new();
-                H.get_or_init(|| $ctor($name))
-            }
-        };
-    }
+    use geosocial_obs::cached;
 
     cached!(frames_user, counter, Counter, "router.frames.user");
     cached!(frames_broadcast, counter, Counter, "router.frames.broadcast");

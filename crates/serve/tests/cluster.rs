@@ -12,7 +12,7 @@
 //!   port — stays invisible: the router kicks the old links, buffers
 //!   in-flight frames, and replays them to the replacement, and the
 //!   replay still verifies clean;
-//! * (with `fault-inject`) the same holds when the process is SIGKILLed
+//! * the same holds when the process is SIGKILLed
 //!   instead of drained: `--flush-bytes 0` makes every acked event
 //!   durable, store recovery scan-truncates the torn tail, and per-user
 //!   sequence numbers absorb the replayed duplicates.
@@ -22,6 +22,7 @@
 //! `CARGO_BIN_EXE` and supervised (and reaped) by the test.
 
 use geosocial_checkin::{Scenario, ScenarioConfig};
+use geosocial_fault::FaultPlan;
 use geosocial_serve::loadgen::{self, LoadgenConfig, RetryPolicy};
 use geosocial_serve::protocol::{Request, Response};
 use geosocial_serve::router::{self, RouterConfig};
@@ -385,15 +386,11 @@ fn clean_handoff_mid_replay_preserves_equivalence() {
 /// ship it, resume it, and swap the map. Acked events survived because
 /// the processes run `--flush-bytes 0`; everything unacked replays from
 /// the router's inboxes and the per-user sequence numbers deduplicate.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn process_kill_and_handoff_mid_replay() {
-    use geosocial_fault::FaultPlan;
-
     let plan =
         FaultPlan::parse("seed=3549,truncate=8,abort=5,prockill=1@400").expect("parse chaos plan");
     let kill = plan.prockill.expect("plan schedules a process kill");
-    assert!(FaultPlan::armed());
 
     let root = scratch("prockill");
     let mut shards = spawn_cluster(&root, 4);

@@ -4,14 +4,17 @@
 //! trace-event JSON, and the `MetricsHistory` ring must report rates.
 //!
 //! The retried+deduplicated chain under injected faults — the headline
-//! acceptance — lives in the `fault-inject`-gated test at the bottom.
+//! acceptance — is the last test.
 
-use geosocial_obs::trace::{parse_trace_id, SpanRecord};
-use geosocial_serve::loadgen::{control_request, run, shutdown_server, LoadgenConfig};
+use geosocial_fault::{FaultPlan, ShardKill};
+use geosocial_obs::trace::{parse_trace_id, SpanRecord, FLAG_DEDUP, FLAG_RECOVERY, FLAG_RETRY};
+use geosocial_serve::loadgen::{control_request, run, shutdown_server, LoadgenConfig, RetryPolicy};
 use geosocial_serve::protocol::{Request, Response, TraceDump};
 use geosocial_serve::server::{spawn, ServerConfig};
+use geosocial_serve::wire::WireFormat;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn control(addr: SocketAddr, req: &Request) -> Response {
     control_request(addr, req).expect("control request")
@@ -214,17 +217,9 @@ fn disabled_sampling_records_nothing() {
 /// flagged), the server's dedup decision, shard apply, store append, ack
 /// — and the shard-kill recovery leaves a recovery span. All of it stays
 /// queryable after a full server restart on the same store dir.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn chaos_trace_shows_retry_dedup_chain_across_restart() {
-    use geosocial_fault::{FaultPlan, ShardKill};
-    use geosocial_obs::trace::{FLAG_DEDUP, FLAG_RECOVERY, FLAG_RETRY};
-    use geosocial_serve::loadgen::RetryPolicy;
-    use geosocial_serve::wire::WireFormat;
-    use std::time::Duration;
-
     let plan = FaultPlan::aggressive(0xC4A0_5EED, ShardKill { shard: 1, at_ingest: 150 }, 250);
-    assert!(FaultPlan::armed());
 
     let store_dir = fresh_store_dir("chaos");
     let config = ServerConfig {

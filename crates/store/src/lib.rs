@@ -18,7 +18,8 @@
 //!   record boundary with a structured offset-carrying [`TornTail`].
 //! - [`store`] — [`EventStore`]: segments, snapshots, recovery, queries,
 //!   plus fault-plan hooks (short writes, flush failures) on the flush
-//!   path when the `inject` feature chain is armed.
+//!   path, inert unless `StoreOptions::fault` carries non-zero flush
+//!   rates.
 //!
 //! Segments are never deleted — the log is the time-travel history; what
 //! snapshots compact is recovery cost, not storage. All store metrics

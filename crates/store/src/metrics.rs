@@ -3,18 +3,7 @@
 //! same series, which the serving layer exposes over its live `Metrics`
 //! request alongside the serve/stream series.
 
-use geosocial_obs::{counter, gauge, histogram, Counter, Gauge, Histogram};
-use std::sync::{Arc, OnceLock};
-
-macro_rules! cached {
-    ($(#[$doc:meta])* $name:ident, $ctor:ident, $ty:ty, $series:expr) => {
-        $(#[$doc])*
-        pub(crate) fn $name() -> &'static $ty {
-            static H: OnceLock<Arc<$ty>> = OnceLock::new();
-            H.get_or_init(|| $ctor($series))
-        }
-    };
-}
+use geosocial_obs::cached;
 
 cached!(
     /// Records appended across all stores.

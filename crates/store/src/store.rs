@@ -75,8 +75,7 @@ const FLUSH_RETRIES: u32 = 64;
 pub struct StoreOptions {
     /// Roll to a new segment file once the active one reaches this size.
     pub segment_bytes: usize,
-    /// Fault plan consulted by the flush path (inert unless the `inject`
-    /// feature chain is armed).
+    /// Fault plan consulted by the flush path (default inert).
     pub fault: FaultPlan,
     /// Shard/owner id: keys fault decisions and log lines.
     pub shard: u64,

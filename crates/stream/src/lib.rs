@@ -43,28 +43,22 @@ pub mod snapshot;
 /// process-global: every auditor and detector in the process feeds the
 /// same series.
 pub(crate) mod metrics {
-    use geosocial_obs::{counter, Counter};
-    use std::sync::{Arc, OnceLock};
+    use geosocial_obs::cached;
 
-    /// Events dropped for arriving behind the fed frontier — auditor and
-    /// detector drop sites combined, matching the `late_dropped`
-    /// composition totals 1:1.
-    pub(crate) fn late_dropped() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("stream.late_dropped"))
-    }
-
-    /// Checkins force-finalized by the per-user pending budget.
-    pub(crate) fn forced_finalize() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("stream.forced_finalize"))
-    }
-
-    /// Stay windows force-closed by the detector's fix budget.
-    pub(crate) fn forced_closures() -> &'static Counter {
-        static H: OnceLock<Arc<Counter>> = OnceLock::new();
-        H.get_or_init(|| counter("stream.forced_closures"))
-    }
+    cached!(
+        /// Events dropped for arriving behind the fed frontier — auditor and
+        /// detector drop sites combined, matching the `late_dropped`
+        /// composition totals 1:1.
+        late_dropped, counter, Counter, "stream.late_dropped"
+    );
+    cached!(
+        /// Checkins force-finalized by the per-user pending budget.
+        forced_finalize, counter, Counter, "stream.forced_finalize"
+    );
+    cached!(
+        /// Stay windows force-closed by the detector's fix budget.
+        forced_closures, counter, Counter, "stream.forced_closures"
+    );
 }
 
 pub use auditor::{AuditConfig, AuditVerdict, OnlineAuditor, StreamComposition, VerdictKind};

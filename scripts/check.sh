@@ -15,7 +15,8 @@
 #      the shard stores (the store.appends counter in the same scrape),
 #      plus a tracing smoke: default 1/64 head sampling must record client
 #      root spans, and the server's Traces query (via geosocial-trace)
-#      must return retained traces with the server-side span chain,
+#      must return retained traces with the server-side span chain and
+#      a non-empty Chrome trace-event export,
 #   4. an overhead gate: the committed BENCH_obs.json (scripts/
 #      bench_obs.sh) must show instrumentation overhead — metrics plus
 #      tracing at 1/64 — of at most 5%,
@@ -139,6 +140,10 @@ for want_span in client.send serve.apply serve.ack; do
         || { echo "error: Traces timeline lacks $want_span:" >&2; echo "$timeline" >&2; exit 1; }
 done
 echo "   tracing: Traces query returned the server-side span chain"
+chrome="$(./target/release/geosocial-trace --addr "$addr" --slowest 3 --format chrome)"
+grep -q '"traceEvents":\[{' <<<"$chrome" \
+    || { echo "error: Chrome trace export is empty" >&2; exit 1; }
+echo "   tracing: Chrome trace export is non-empty"
 kill "$serve_pid" 2>/dev/null || true
 serve_pid=""
 

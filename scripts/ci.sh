@@ -5,52 +5,42 @@
 #
 #   1. rustfmt       — cargo fmt --check (rustfmt.toml is authoritative)
 #   2. clippy        — workspace, all targets, -D warnings, plus the
-#                      non-default feature combos (fault-inject, obs noop)
-#   3. build matrix  — release builds of the three feature configurations
-#                      that ship: default, observability compiled out,
-#                      fault injection compiled in
-#   4. tests         — the full workspace suite, then the fault-injection
-#                      suite (chaos equivalence test) which only exists
-#                      behind --features fault-inject
-#   5. wire smoke    — a batch-verified replay on the binary wire with
-#                      batched GpsRun frames (the JSON wire is smoked by
-#                      check.sh), so both encodings gate every merge
-#   6. trace smoke   — a fully sampled replay against a standalone server,
-#                      then the Traces query through geosocial-trace: the
-#                      text timeline must show the server-side span chain
-#                      and the Chrome export must be non-empty
-#   7. cluster smoke — a real multi-process topology: two geosocial-serve
+#                      obs-noop feature combos
+#   3. build matrix  — release builds of the two feature configurations
+#                      that ship: default and observability compiled out
+#   4. cluster smoke — a real multi-process topology: two geosocial-serve
 #                      shard processes behind a geosocial-router process,
 #                      a short batch-verified replay on each wire format
 #                      (fresh processes per wire — a finished stream
 #                      cannot be replayed twice)
-#   8. store smoke   — the event-store micro-benchmark at a reduced scale,
+#   5. store smoke   — the event-store micro-benchmark at a reduced scale,
 #                      exercising append/segment-roll/snapshot/reopen/query
 #                      through the shipped geosocial-store-bench binary
-#   8b. scenario smoke — two scenario families (one social, one
+#   6. scenario smoke — two scenario families (one social, one
 #                      adversarial) replayed end-to-end through a spawned
 #                      server with the batch-equivalence oracle on; the
 #                      full registry round-trip is gated by check.sh
-#   8c. perfbench    — build the standalone benchmark (perfbench/, its own
+#   7. perfbench     — build the standalone benchmark (perfbench/, its own
 #                      workspace) against the current crates and run its
 #                      small-scale served == batch smoke, so a public-API
 #                      change in crates/ that breaks the benchmark fails
 #                      here rather than in the benchmark pipeline
-#   9. bench files   — every committed BENCH_*.json must parse as JSON
+#   8. bench files   — every committed BENCH_*.json must parse as JSON
 #                      (check.sh gates their contents; this catches a
 #                      half-written or hand-mangled report early)
-#  10. check.sh      — tier-1 gate + serving/observability smokes over a
-#                      real TCP server, the committed-bench gates, and the
-#                      byte-for-byte results/ regeneration gate
+#   9. check.sh      — tier-1 gate (every test, the chaos and cluster-kill
+#                      suites included) + serving/observability/tracing
+#                      smokes over a real TCP server on both wires, the
+#                      committed-bench gates, and the byte-for-byte
+#                      results/ regeneration gate
 #
 # Usage: scripts/ci.sh [step...]   (no args = all steps)
-# Steps: fmt clippy build test chaos wire trace cluster store scenario
-#        perfbench bench check
+# Steps: fmt clippy build cluster store scenario perfbench bench check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(fmt clippy build test chaos wire trace cluster store scenario perfbench bench check)
+[ ${#steps[@]} -eq 0 ] && steps=(fmt clippy build cluster store scenario perfbench bench check)
 
 want() {
     local s
@@ -66,11 +56,6 @@ fi
 if want clippy; then
     echo "==> ci: clippy (workspace, all targets, -D warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
-    echo "==> ci: clippy (fault-inject feature chain)"
-    cargo clippy -p geosocial-fault -p geosocial-store -p geosocial-serve \
-        --all-targets \
-        --features geosocial-fault/inject,geosocial-serve/fault-inject \
-        -- -D warnings
     echo "==> ci: clippy (obs noop)"
     cargo clippy -p geosocial-obs --all-targets --features noop -- -D warnings
     echo "==> ci: clippy (serve with obs compiled out)"
@@ -82,74 +67,6 @@ if want build; then
     cargo build --release --workspace
     echo "==> ci: release build (obs compiled out)"
     cargo build --release -p geosocial-serve --features geosocial-obs/noop
-    echo "==> ci: release build (fault injection armed)"
-    cargo build --release -p geosocial-serve --features fault-inject
-fi
-
-if want test; then
-    echo "==> ci: cargo test -q --workspace"
-    cargo test -q --workspace
-fi
-
-if want chaos; then
-    echo "==> ci: fault-injection suite (chaos equivalence)"
-    cargo test -q -p geosocial-serve --features fault-inject
-fi
-
-if want wire; then
-    echo "==> ci: binary wire smoke (batched GpsRun, batch-verified)"
-    # Default-features build: the chaos step above leaves fault-inject
-    # artifacts for other packages, but geosocial-serve's default binary
-    # is what ships.
-    cargo build --release -p geosocial-serve
-    wire_out="$(mktemp -t bench_wire_smoke.XXXXXX.json)"
-    ./target/release/geosocial-loadgen \
-        --spawn --shards 4 \
-        --users 24 --days 4 --seed 1 \
-        --connections 4 --window 256 \
-        --wire binary --run-len 64 \
-        --verify --out "$wire_out"
-    rm -f "$wire_out"
-fi
-
-if want trace; then
-    echo "==> ci: tracing smoke (replay, Traces query, exporters)"
-    cargo build --release -p geosocial-serve
-    trace_log="$(mktemp -t trace_smoke.XXXXXX.log)"
-    trace_out="$(mktemp -t trace_smoke.XXXXXX.json)"
-    chrome_out="$(mktemp -t trace_chrome.XXXXXX.json)"
-    ./target/release/geosocial-serve --addr 127.0.0.1:0 --shards 4 2>"$trace_log" &
-    trace_pid=$!
-    trap 'kill "$trace_pid" 2>/dev/null || true; rm -f "$trace_log" "$trace_out" "$chrome_out"' EXIT
-    addr=""
-    for _ in $(seq 1 50); do
-        addr="$(grep -ho 'addr=[0-9.:]*' "$trace_log" | head -n1 | cut -d= -f2 || true)"
-        [ -n "$addr" ] && break
-        kill -0 "$trace_pid" 2>/dev/null \
-            || { echo "error: geosocial-serve exited before binding" >&2; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "error: server never logged its address" >&2; exit 1; }
-    ./target/release/geosocial-loadgen \
-        --addr "$addr" \
-        --users 16 --days 2 --seed 3 \
-        --connections 2 --window 128 \
-        --trace-sample 1 \
-        --out "$trace_out"
-    grep -q '"traces_sampled": [1-9]' "$trace_out" \
-        || { echo "error: fully sampled replay recorded no traces" >&2; exit 1; }
-    timeline="$(./target/release/geosocial-trace --addr "$addr" --slowest 5)"
-    for want_span in client.send serve.apply serve.ack; do
-        echo "$timeline" | grep -q "$want_span" \
-            || { echo "error: Traces timeline lacks $want_span" >&2; exit 1; }
-    done
-    ./target/release/geosocial-trace --addr "$addr" --slowest 5 \
-        --format chrome --out "$chrome_out" >/dev/null
-    grep -q '"traceEvents":\[{' "$chrome_out" \
-        || { echo "error: Chrome trace export is empty" >&2; exit 1; }
-    kill "$trace_pid" 2>/dev/null || true
-    trap - EXIT
-    rm -f "$trace_log" "$trace_out" "$chrome_out"
 fi
 
 if want cluster; then
@@ -283,8 +200,8 @@ fi
 
 if want check; then
     echo "==> ci: scripts/check.sh"
-    # check.sh rebuilds geosocial-serve with default features, so the armed
-    # build above cannot leak into the smoke tests.
+    # check.sh rebuilds geosocial-serve with default features, so the
+    # obs-noop build above cannot leak into the smoke tests.
     scripts/check.sh
 fi
 
