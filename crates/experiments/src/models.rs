@@ -4,7 +4,7 @@ use crate::analysis::Analysis;
 use crate::figures::ExperimentOutput;
 use crate::output::{series_csv, Series};
 use geosocial_core::matching::MatchOutcome;
-use geosocial_manet::{MetricsReport, SimConfig, Simulator};
+use geosocial_manet::{DsdvConfig, DsdvSimulator, MetricsReport, SimConfig, Simulator};
 use geosocial_mobility::levy::{fit_levy, LevyFitConfig};
 use geosocial_mobility::{LevyWalkModel, MovementTrace, TrainingSample};
 use geosocial_stats::LogHistogram;
@@ -173,39 +173,18 @@ pub struct Fig8Config {
     /// Independent repetitions pooled into the CDFs. The sparse network
     /// sits near its percolation threshold, where single runs are noisy.
     pub repetitions: u32,
-    /// Radio and protocol parameters.
-    pub sim: SimConfig,
 }
 
 impl Default for Fig8Config {
     fn default() -> Self {
-        Self {
-            nodes: 200,
-            area_m: 12_000.0,
-            pairs: 100,
-            duration_ms: 600_000,
-            repetitions: 3,
-            sim: SimConfig::default(),
-        }
+        Self { nodes: 200, area_m: 12_000.0, pairs: 100, duration_ms: 600_000, repetitions: 3 }
     }
 }
 
 impl Fig8Config {
     /// A CI-scale configuration.
     pub fn quick() -> Self {
-        Self {
-            nodes: 30,
-            area_m: 4_000.0,
-            pairs: 10,
-            duration_ms: 120_000,
-            repetitions: 1,
-            ..Default::default()
-        }
-    }
-
-    /// The paper's literal field size (expect heavy partitioning).
-    pub fn paper_exact() -> Self {
-        Self { area_m: 100_000.0, ..Default::default() }
+        Self { nodes: 30, area_m: 4_000.0, pairs: 10, duration_ms: 120_000, repetitions: 1 }
     }
 }
 
@@ -219,7 +198,8 @@ pub struct Fig8Run {
 }
 
 impl Fig8Run {
-    /// All repetitions' values of a per-pair series, pooled.
+    /// All repetitions' values of a per-pair series, pooled in repetition
+    /// order.
     fn pooled<F: Fn(&MetricsReport) -> Vec<f64>>(&self, f: F) -> Vec<f64> {
         self.reports.iter().flat_map(f).collect()
     }
@@ -241,23 +221,30 @@ impl Fig8Run {
     }
 }
 
-/// Run the Figure 8 experiment: generate node movement from each fitted
-/// model, simulate AODV over it (pooling `repetitions` independent runs),
-/// and report the three metric CDFs.
-pub fn fig8(models: &FittedModels, cfg: &Fig8Config, seed: u64) -> ExperimentOutput {
+/// The one Figure 8 driver: for every (model, repetition), generate node
+/// movement from the fitted model and CBR pairs from the run's seed, then
+/// hand them with that seed to `simulate` (one MANET run of the chosen
+/// protocol). Returns one [`Fig8Run`] per model, in [`MODEL_LABELS`] order.
+fn fig8_runs<F>(models: &FittedModels, cfg: &Fig8Config, seed: u64, simulate: F) -> Vec<Fig8Run>
+where
+    F: Fn(Vec<MovementTrace>, Vec<(usize, usize)>, u64) -> MetricsReport + Sync,
+{
     // Every (model, repetition) pair is independently seeded, so the whole
     // grid fans out as one flat task list; reports regroup per model in
     // repetition order, matching the serial nesting exactly.
-    let tasks = model_rep_grid(models, cfg.repetitions);
-    let reports = geosocial_par::par_map(&tasks, |&(_, label, model, rep)| {
-        let run_seed = seed ^ hash_label(label) ^ (rep as u64).wrapping_mul(0x9e37_79b9);
+    let tasks: Vec<(usize, &LevyWalkModel, u32)> = [&models.gps, &models.honest, &models.all]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(mi, model)| (0..cfg.repetitions.max(1)).map(move |rep| (mi, model, rep)))
+        .collect();
+    let reports = geosocial_par::par_map(&tasks, |&(mi, model, rep)| {
+        let run_seed = seed ^ hash_label(MODEL_LABELS[mi]) ^ (rep as u64).wrapping_mul(0x9e37_79b9);
         let mut rng = ChaCha12Rng::seed_from_u64(run_seed);
         let traces: Vec<MovementTrace> = (0..cfg.nodes)
             .map(|_| model.generate(cfg.area_m, cfg.duration_ms / 1_000 + 60, &mut rng))
             .collect();
         let pairs = random_pairs(cfg.nodes, cfg.pairs, &mut rng);
-        let sim_cfg = SimConfig { duration_ms: cfg.duration_ms, ..cfg.sim.clone() };
-        Simulator::new(traces, pairs, sim_cfg, run_seed).run()
+        simulate(traces, pairs, run_seed)
     });
     let mut runs: Vec<Fig8Run> = MODEL_LABELS
         .iter()
@@ -266,6 +253,17 @@ pub fn fig8(models: &FittedModels, cfg: &Fig8Config, seed: u64) -> ExperimentOut
     for (&(mi, ..), report) in tasks.iter().zip(reports) {
         runs[mi].reports.push(report);
     }
+    runs
+}
+
+/// Run the Figure 8 experiment: generate node movement from each fitted
+/// model, simulate AODV over it (pooling `repetitions` independent runs),
+/// and report the three metric CDFs.
+pub fn fig8(models: &FittedModels, cfg: &Fig8Config, seed: u64) -> ExperimentOutput {
+    let sim_cfg = SimConfig { duration_ms: cfg.duration_ms, ..Default::default() };
+    let runs = fig8_runs(models, cfg, seed, |traces, pairs, run_seed| {
+        Simulator::new(traces, pairs, sim_cfg.clone(), run_seed).run()
+    });
 
     let mut text = format!(
         "Figure 8 — MANET metrics over {} nodes, {:.0}×{:.0} km field, {} CBR pairs, {} s (paper: 200 nodes, 100×100 km, 100 pairs).\n\
@@ -327,21 +325,6 @@ fn mean(xs: &[f64]) -> f64 {
 /// Display order of the three trained models in every figure.
 const MODEL_LABELS: [&str; 3] = ["GPS", "Honest-Checkin", "All-Checkin"];
 
-/// The flat `(model index, label, model, repetition)` task grid that fig8
-/// and its DSDV variant fan out over the thread pool.
-fn model_rep_grid(
-    models: &FittedModels,
-    repetitions: u32,
-) -> Vec<(usize, &'static str, &LevyWalkModel, u32)> {
-    [&models.gps, &models.honest, &models.all]
-        .into_iter()
-        .enumerate()
-        .flat_map(|(mi, model)| {
-            (0..repetitions.max(1)).map(move |rep| (mi, MODEL_LABELS[mi], model, rep))
-        })
-        .collect()
-}
-
 fn hash_label(label: &str) -> u64 {
     label
         .bytes()
@@ -388,7 +371,10 @@ pub fn mean_speed_of(model: &LevyWalkModel, area_m: f64, seed: u64) -> f64 {
 /// survive a protocol swap, they are properties of the mobility inputs —
 /// the paper's thesis — and not artifacts of AODV.
 pub fn fig8_dsdv(models: &FittedModels, cfg: &Fig8Config, seed: u64) -> ExperimentOutput {
-    use geosocial_manet::{DsdvConfig, DsdvSimulator};
+    let dsdv_cfg = DsdvConfig { duration_ms: cfg.duration_ms, ..Default::default() };
+    let runs = fig8_runs(models, cfg, seed, |traces, pairs, run_seed| {
+        DsdvSimulator::new(traces, pairs, dsdv_cfg.clone(), run_seed).run()
+    });
     let mut text = format!(
         "X9 — Figure 8 under DSDV ({} nodes, {:.0}×{:.0} km, {} pairs, {} s).\n",
         cfg.nodes,
@@ -401,44 +387,22 @@ pub fn fig8_dsdv(models: &FittedModels, cfg: &Fig8Config, seed: u64) -> Experime
     let ratio_grid: Vec<f64> = (0..=20).map(|i| i as f64 / 20.0).collect();
     let mut csv_rows =
         String::from("model,delivery,availability_mean,route_changes_per_min,routing_tx\n");
-    // Same fan-out as fig8: the whole (model, repetition) grid runs as one
-    // flat task list, regrouped per model in repetition order afterwards.
-    let tasks = model_rep_grid(models, cfg.repetitions);
-    let reports = geosocial_par::par_map(&tasks, |&(_, label, model, rep)| {
-        let run_seed = seed ^ hash_label(label) ^ (rep as u64).wrapping_mul(0x9e37_79b9);
-        let mut rng = ChaCha12Rng::seed_from_u64(run_seed);
-        let traces: Vec<MovementTrace> = (0..cfg.nodes)
-            .map(|_| model.generate(cfg.area_m, cfg.duration_ms / 1_000 + 60, &mut rng))
-            .collect();
-        let pairs = random_pairs(cfg.nodes, cfg.pairs, &mut rng);
-        let dsdv_cfg = DsdvConfig { duration_ms: cfg.duration_ms, ..Default::default() };
-        DsdvSimulator::new(traces, pairs, dsdv_cfg, run_seed).run()
-    });
-    for (mi, label) in MODEL_LABELS.iter().enumerate() {
-        let mut avail_all = Vec::new();
-        let mut change_all = Vec::new();
-        let mut delivered = 0u64;
-        let mut sent = 0u64;
-        let mut routing = 0u64;
-        for report in tasks.iter().zip(&reports).filter(|((ti, ..), _)| *ti == mi).map(|(_, r)| r) {
-            avail_all.extend(report.availability_series());
-            change_all.extend(report.route_change_series());
-            delivered += report.pairs.iter().map(|p| p.data_delivered).sum::<u64>();
-            sent += report.pairs.iter().map(|p| p.data_sent).sum::<u64>();
-            routing += report.total_routing_tx;
-        }
-        let delivery = if sent == 0 { 0.0 } else { delivered as f64 / sent as f64 };
+    for run in &runs {
+        let label = &run.label;
+        let avail = run.pooled(MetricsReport::availability_series);
+        let change = run.pooled(MetricsReport::route_change_series);
+        let (delivery, routing) = (run.delivery(), run.routing_tx());
         text.push_str(&format!(
             "{label:<15} delivery={delivery:.2} | availability mean={:.2} | route-changes/min mean={:.3} | routing_tx={routing}\n",
-            mean(&avail_all),
-            mean(&change_all),
+            mean(&avail),
+            mean(&change),
         ));
         csv_rows.push_str(&format!(
             "{label},{delivery:.4},{:.4},{:.4},{routing}\n",
-            mean(&avail_all),
-            mean(&change_all),
+            mean(&avail),
+            mean(&change),
         ));
-        if let Some(s) = Series::cdf(label, &avail_all, &ratio_grid) {
+        if let Some(s) = Series::cdf(label, &avail, &ratio_grid) {
             avail_series.push(s);
         }
     }

@@ -13,16 +13,15 @@
 //! incremental dumps and settling-time damping (they reduce overhead
 //! volume but not the metric *shapes* compared here).
 
-use crate::event::SimTime;
-use crate::metrics::{MetricsReport, PairMetrics};
+use crate::event::{EventQueue, SimTime};
+use crate::metrics::{pair_set, MetricsReport, PairMetrics};
 use crate::packet::NodeId;
-use geosocial_geo::Point;
+use crate::radio::Radio;
 use geosocial_mobility::MovementTrace;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// DSDV parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -78,7 +77,7 @@ impl DsdvRoute {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 enum Ev {
     /// Node broadcasts its periodic full dump.
     Dump(NodeId),
@@ -92,40 +91,19 @@ enum Ev {
     Sample,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Scheduled {
-    time: SimTime,
-    seq: u64,
-    ev: Ev,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The DSDV simulator. Shares the radio model, mobility playback and
-/// metric definitions with the AODV [`crate::Simulator`] so Figure-8 runs
-/// are directly comparable.
+/// The DSDV simulator. Shares the radio, the event queue, mobility
+/// playback and metric definitions with the AODV [`crate::Simulator`] so
+/// Figure-8 runs are directly comparable.
 pub struct DsdvSimulator {
     cfg: DsdvConfig,
-    traces: Vec<MovementTrace>,
+    radio: Radio,
     pairs: Vec<PairMetrics>,
     pair_index: HashMap<(NodeId, NodeId), usize>,
     /// Per-node routing tables.
     tables: Vec<HashMap<NodeId, DsdvRoute>>,
     /// Per-node own sequence numbers (kept even while alive).
     seqs: Vec<u32>,
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    next_seq: u64,
-    now: SimTime,
+    queue: EventQueue<Ev>,
     rng: ChaCha12Rng,
     total_routing_tx: u64,
     total_data_tx: u64,
@@ -144,69 +122,39 @@ impl DsdvSimulator {
         cfg: DsdvConfig,
         seed: u64,
     ) -> Self {
-        assert!(!traces.is_empty(), "need at least one node");
-        for (i, t) in traces.iter().enumerate() {
-            assert!(!t.is_empty(), "node {i} has an empty movement trace");
-        }
-        let n = traces.len();
-        let mut pair_index = HashMap::new();
-        for (i, &(s, d)) in pairs.iter().enumerate() {
-            assert!(s < n && d < n, "pair ({s},{d}) out of range");
-            assert!(s != d, "self-pair ({s},{d})");
-            pair_index.insert((s, d), i);
-        }
+        let radio = Radio::new(traces, cfg.radio_range_m);
+        let n = radio.len();
+        let (pairs, pair_index) = pair_set(pairs, n);
         Self {
             cfg,
-            pairs: pairs.into_iter().map(|(s, d)| PairMetrics::new(s, d)).collect(),
+            radio,
+            pairs,
             pair_index,
             tables: vec![HashMap::new(); n],
             seqs: vec![0; n],
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: 0,
+            queue: EventQueue::new(),
             rng: ChaCha12Rng::seed_from_u64(seed),
-            traces,
             total_routing_tx: 0,
             total_data_tx: 0,
         }
-    }
-
-    fn schedule(&mut self, time: SimTime, ev: Ev) {
-        debug_assert!(time >= self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled { time, seq, ev }));
-    }
-
-    fn position(&self, node: NodeId, t: SimTime) -> Point {
-        self.traces[node].position_at(t / 1_000).expect("validated non-empty")
-    }
-
-    fn neighbors_of(&self, node: NodeId, t: SimTime) -> Vec<NodeId> {
-        let pos = self.position(node, t);
-        let r2 = self.cfg.radio_range_m * self.cfg.radio_range_m;
-        (0..self.tables.len())
-            .filter(|&n| n != node && self.position(n, t).distance_sq(pos) <= r2)
-            .collect()
     }
 
     /// Run to completion.
     pub fn run(mut self) -> MetricsReport {
         for node in 0..self.tables.len() {
             let jitter = self.rng.gen_range(0..self.cfg.update_interval_ms);
-            self.schedule(jitter, Ev::Dump(node));
+            self.queue.schedule(jitter, Ev::Dump(node));
         }
         for pair in 0..self.pairs.len() {
             let t0 = self.rng.gen_range(0..self.cfg.cbr_interval_ms);
-            self.schedule(t0, Ev::Cbr(pair));
+            self.queue.schedule(t0, Ev::Cbr(pair));
         }
-        self.schedule(self.cfg.sample_interval_ms, Ev::Sample);
+        self.queue.schedule(self.cfg.sample_interval_ms, Ev::Sample);
 
-        while let Some(Reverse(Scheduled { time, ev, .. })) = self.heap.pop() {
+        while let Some((time, ev)) = self.queue.pop() {
             if time > self.cfg.duration_ms {
                 break;
             }
-            self.now = time;
             match ev {
                 Ev::Dump(node) => self.on_dump(node, time),
                 Ev::Cbr(pair) => self.on_cbr(pair, time),
@@ -237,14 +185,14 @@ impl DsdvSimulator {
             }
         }
         self.total_routing_tx += 1;
-        for to in self.neighbors_of(node, t) {
+        for to in self.radio.neighbors_of(node, t) {
             let jitter = self.rng.gen_range(0..3);
-            self.schedule(
+            self.queue.schedule(
                 t + self.cfg.hop_latency_ms + jitter,
                 Ev::DeliverDump { to, from: node, adverts: adverts.clone() },
             );
         }
-        self.schedule(t + self.cfg.update_interval_ms, Ev::Dump(node));
+        self.queue.schedule(t + self.cfg.update_interval_ms, Ev::Dump(node));
     }
 
     fn on_dump_received(&mut self, node: NodeId, from: NodeId, adverts: Vec<Advert>, t: SimTime) {
@@ -289,7 +237,7 @@ impl DsdvSimulator {
         self.pairs[pair].data_sent += 1;
         let ttl = self.cfg.data_ttl;
         self.forward_data(src, src, dst, ttl, t);
-        self.schedule(t + self.cfg.cbr_interval_ms, Ev::Cbr(pair));
+        self.queue.schedule(t + self.cfg.cbr_interval_ms, Ev::Cbr(pair));
     }
 
     fn forward_data(&mut self, node: NodeId, src: NodeId, dst: NodeId, ttl: u8, t: SimTime) {
@@ -312,9 +260,7 @@ impl DsdvSimulator {
         };
         // The next hop must still be in range.
         let next = route.next_hop;
-        let pos = self.position(node, t);
-        let r = self.cfg.radio_range_m;
-        if self.position(next, t).distance_sq(pos) > r * r {
+        if !self.radio.in_range(node, next, t) {
             // Link break: invalidate (odd seq) and drop.
             if let Some(route) = self.tables[node].get_mut(&dst) {
                 route.seq |= 1;
@@ -324,7 +270,7 @@ impl DsdvSimulator {
         }
         self.total_data_tx += 1;
         let jitter = self.rng.gen_range(0..3);
-        self.schedule(
+        self.queue.schedule(
             t + self.cfg.hop_latency_ms + jitter,
             Ev::DeliverData { to: next, src, dst, ttl: ttl - 1 },
         );
@@ -352,7 +298,7 @@ impl DsdvSimulator {
             }
         }
         if t + self.cfg.sample_interval_ms <= self.cfg.duration_ms {
-            self.schedule(t + self.cfg.sample_interval_ms, Ev::Sample);
+            self.queue.schedule(t + self.cfg.sample_interval_ms, Ev::Sample);
         }
     }
 }
@@ -360,6 +306,7 @@ impl DsdvSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geosocial_geo::Point;
 
     fn chain(n: usize, duration_s: i64) -> Vec<MovementTrace> {
         (0..n)
@@ -454,6 +401,19 @@ mod tests {
         let p = &report.pairs[0];
         assert!(p.data_delivered > 100, "delivered {}", p.data_delivered);
         assert!(p.route_changes >= 1, "route changes {}", p.route_changes);
+    }
+
+    /// X9's "same radio model" claim: both protocols see the same radio,
+    /// traffic, sampling and duration by default.
+    #[test]
+    fn radio_and_traffic_defaults_match_aodv() {
+        let (aodv, dsdv) = (crate::SimConfig::default(), DsdvConfig::default());
+        assert_eq!(aodv.radio_range_m, dsdv.radio_range_m);
+        assert_eq!(aodv.hop_latency_ms, dsdv.hop_latency_ms);
+        assert_eq!(aodv.cbr_interval_ms, dsdv.cbr_interval_ms);
+        assert_eq!(aodv.data_ttl, dsdv.data_ttl);
+        assert_eq!(aodv.sample_interval_ms, dsdv.sample_interval_ms);
+        assert_eq!(aodv.duration_ms, dsdv.duration_ms);
     }
 
     #[test]

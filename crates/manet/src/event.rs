@@ -8,7 +8,8 @@ use std::collections::BinaryHeap;
 /// Simulation time in milliseconds.
 pub type SimTime = i64;
 
-/// Everything that can happen in the simulator.
+/// Everything that can happen in the AODV simulator (DSDV schedules its
+/// own event type on the same [`EventQueue`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A node's periodic hello beacon fires.
@@ -43,28 +44,37 @@ pub enum EventKind {
 }
 
 /// A scheduled event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Scheduled {
+#[derive(Debug)]
+struct Scheduled<E> {
     time: SimTime,
     /// Monotone sequence number: equal-time events fire in scheduling
     /// order, making runs bit-for-bit reproducible.
     seq: u64,
-    kind: EventKind,
+    event: E,
 }
 
-impl Ord for Scheduled {
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
-impl PartialOrd for Scheduled {
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A deterministic future-event list.
+/// A deterministic future-event list over any event type; both the AODV
+/// and the DSDV simulator run on it.
 ///
 /// # Example
 ///
@@ -80,59 +90,43 @@ impl PartialOrd for Scheduled {
 /// assert_eq!(q.pop(), Some((20, EventKind::Sample)));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Scheduled>>,
+#[derive(Debug)]
+pub struct EventQueue<E = EventKind> {
+    heap: BinaryHeap<Reverse<Scheduled<E>>>,
     next_seq: u64,
     now: SimTime,
 }
 
-impl EventQueue {
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self { heap: BinaryHeap::new(), next_seq: 0, now: 0 }
+    }
+}
+
+impl<E> EventQueue<E> {
     /// An empty queue at time 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Current simulation time: the timestamp of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `kind` at absolute time `time`.
+    /// Schedule `event` at absolute time `time`.
     ///
     /// # Panics
     ///
-    /// Panics if `time` is in the past — an event scheduled before `now`
-    /// is always a simulator bug.
-    pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
+    /// Panics if `time` is before the last popped event's time — an event
+    /// scheduled into the past is always a simulator bug.
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         assert!(time >= self.now, "scheduling into the past: {time} < {}", self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled { time, seq, kind }));
+        self.heap.push(Reverse(Scheduled { time, seq, event }));
     }
 
-    /// Schedule `kind` `delay` ms from now.
-    pub fn schedule_in(&mut self, delay: SimTime, kind: EventKind) {
-        debug_assert!(delay >= 0, "negative delay {delay}");
-        self.schedule(self.now + delay.max(0), kind);
-    }
-
-    /// Pop the next event, advancing `now`. `None` when the queue is empty.
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
+    /// Pop the next event with its time. `None` when the queue is empty.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(ev) = self.heap.pop()?;
-        debug_assert!(ev.time >= self.now, "time went backwards");
         self.now = ev.time;
-        Some((ev.time, ev.kind))
+        Some((ev.time, ev.event))
     }
 }
 
@@ -152,34 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn now_tracks_popped_events() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.now(), 0);
-        q.schedule(10, EventKind::Sample);
-        q.pop();
-        assert_eq!(q.now(), 10);
-        q.schedule_in(5, EventKind::Sample);
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, 15);
-    }
-
-    #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn past_scheduling_panics() {
         let mut q = EventQueue::new();
         q.schedule(10, EventKind::Sample);
         q.pop();
         q.schedule(5, EventKind::Sample);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(1, EventKind::Sample);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 }

@@ -12,7 +12,8 @@
 //! networking guides):
 //!
 //! * **Synchronous discrete-event core** — a binary-heap [`EventQueue`]
-//!   with a deterministic tie-break; no async runtime (the workload is
+//!   with a deterministic (time, scheduling order) tie-break, shared by
+//!   the AODV and DSDV simulators; no async runtime (the workload is
 //!   CPU-bound simulation, exactly the case the tokio guide advises
 //!   against an async runtime for).
 //! * **AODV subset** (RFC 3561): RREQ flooding with id-based duplicate
@@ -22,9 +23,10 @@
 //!   bounded RREQ retries. Omitted: expanding-ring search, precursor
 //!   lists (RERRs use a bounded re-broadcast instead), local repair —
 //!   none of which change the metric *shapes* the experiment compares.
-//! * **Ideal radio** — unit-disk connectivity evaluated at delivery time,
-//!   constant per-hop latency plus deterministic jitter; no collisions or
-//!   fading. The paper's comparison is *between mobility inputs*, so the
+//! * **Ideal radio** — unit-disk connectivity over node positions sampled
+//!   once per simulated second (computed once per second and shared by
+//!   every transmission in it), constant per-hop latency plus
+//!   deterministic jitter; no collisions or fading. The paper's comparison is *between mobility inputs*, so the
 //!   radio model cancels out.
 //!
 //! Mobility comes in as [`MovementTrace`]s — one per node — produced by any
@@ -38,8 +40,8 @@ pub mod dsdv;
 mod event;
 mod metrics;
 mod packet;
+mod radio;
 mod sim;
-mod trace_log;
 
 pub use aodv::{NodeState, RouteEntry};
 pub use dsdv::{DsdvConfig, DsdvSimulator};
@@ -47,4 +49,3 @@ pub use event::{EventKind, EventQueue, SimTime};
 pub use metrics::{MetricsReport, PairMetrics};
 pub use packet::{NodeId, Packet};
 pub use sim::{SimConfig, Simulator};
-pub use trace_log::{TraceEvent, TraceLog};

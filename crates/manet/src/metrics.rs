@@ -3,6 +3,7 @@
 use crate::event::SimTime;
 use crate::packet::NodeId;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Metrics for one CBR source–destination pair.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -76,6 +77,26 @@ impl PairMetrics {
             self.data_delivered as f64 / self.data_sent as f64
         }
     }
+}
+
+/// Zeroed metrics for each CBR pair plus the `(src, dst)` → pair index
+/// map the simulators attribute traffic through.
+///
+/// # Panics
+///
+/// Panics if a pair references a node outside `0..nodes` or pairs a node
+/// with itself.
+pub(crate) fn pair_set(
+    pairs: Vec<(NodeId, NodeId)>,
+    nodes: usize,
+) -> (Vec<PairMetrics>, HashMap<(NodeId, NodeId), usize>) {
+    let mut index = HashMap::new();
+    for (i, &(s, d)) in pairs.iter().enumerate() {
+        assert!(s < nodes && d < nodes, "pair ({s},{d}) out of range");
+        assert!(s != d, "self-pair ({s},{d})");
+        index.insert((s, d), i);
+    }
+    (pairs.into_iter().map(|(s, d)| PairMetrics::new(s, d)).collect(), index)
 }
 
 /// The full output of one simulation run.

@@ -1,11 +1,11 @@
-//! The simulator: event dispatch, radio model, AODV message handling.
+//! The AODV simulator: event dispatch and AODV message handling over the
+//! shared radio.
 
 use crate::aodv::NodeState;
 use crate::event::{EventKind, EventQueue, SimTime};
-use crate::metrics::{MetricsReport, PairMetrics};
+use crate::metrics::{pair_set, MetricsReport, PairMetrics};
 use crate::packet::{NodeId, Packet};
-use crate::trace_log::{TraceEvent, TraceLog};
-use geosocial_geo::Point;
+use crate::radio::Radio;
 use geosocial_mobility::MovementTrace;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -87,7 +87,7 @@ impl Default for SimConfig {
 /// ```
 pub struct Simulator {
     cfg: SimConfig,
-    traces: Vec<MovementTrace>,
+    radio: Radio,
     nodes: Vec<NodeState>,
     pairs: Vec<PairMetrics>,
     /// `(src, dst)` → pair index, for metric attribution.
@@ -98,7 +98,6 @@ pub struct Simulator {
     total_routing_tx: u64,
     total_data_tx: u64,
     total_hello_tx: u64,
-    trace: TraceLog,
 }
 
 impl Simulator {
@@ -115,53 +114,27 @@ impl Simulator {
         cfg: SimConfig,
         seed: u64,
     ) -> Self {
-        assert!(!traces.is_empty(), "need at least one node");
-        for (i, t) in traces.iter().enumerate() {
-            assert!(!t.is_empty(), "node {i} has an empty movement trace");
-        }
-        let n = traces.len();
-        let mut pair_index = HashMap::new();
-        for (i, &(s, d)) in pairs.iter().enumerate() {
-            assert!(s < n && d < n, "pair ({s},{d}) out of range");
-            assert!(s != d, "self-pair ({s},{d})");
-            pair_index.insert((s, d), i);
-        }
+        let radio = Radio::new(traces, cfg.radio_range_m);
+        let n = radio.len();
+        let (pairs, pair_index) = pair_set(pairs, n);
         let n_pairs = pairs.len();
         Self {
             cfg,
+            radio,
             nodes: vec![NodeState::new(); n],
-            pairs: pairs.into_iter().map(|(s, d)| PairMetrics::new(s, d)).collect(),
+            pairs,
             pair_index,
-            traces,
             queue: EventQueue::new(),
             rng: ChaCha12Rng::seed_from_u64(seed),
             cbr_seq: vec![0; n_pairs],
             total_routing_tx: 0,
             total_data_tx: 0,
             total_hello_tx: 0,
-            trace: TraceLog::disabled(),
         }
-    }
-
-    /// Enable protocol-event tracing, recording up to `capacity` events.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace = TraceLog::with_capacity(capacity);
-        self
-    }
-
-    /// Run to completion, returning the metrics report and the recorded
-    /// protocol trace (empty unless [`Simulator::with_trace`] was called).
-    pub fn run_traced(mut self) -> (MetricsReport, TraceLog) {
-        let report = self.run_inner();
-        (report, self.trace)
     }
 
     /// Run to completion and produce the metrics report.
     pub fn run(mut self) -> MetricsReport {
-        self.run_inner()
-    }
-
-    fn run_inner(&mut self) -> MetricsReport {
         // Stagger periodic processes so the network does not beat in
         // lockstep.
         for node in 0..self.nodes.len() {
@@ -193,7 +166,7 @@ impl Simulator {
         }
 
         MetricsReport {
-            pairs: std::mem::take(&mut self.pairs),
+            pairs: self.pairs,
             total_routing_tx: self.total_routing_tx,
             total_data_tx: self.total_data_tx,
             total_hello_tx: self.total_hello_tx,
@@ -201,24 +174,7 @@ impl Simulator {
         }
     }
 
-    // --- radio ------------------------------------------------------------
-
-    fn position(&self, node: NodeId, t: SimTime) -> Point {
-        self.traces[node].position_at(t / 1_000).expect("traces validated non-empty")
-    }
-
-    fn in_range(&self, a: NodeId, b: NodeId, t: SimTime) -> bool {
-        let r = self.cfg.radio_range_m;
-        self.position(a, t).distance_sq(self.position(b, t)) <= r * r
-    }
-
-    fn neighbors_of(&self, node: NodeId, t: SimTime) -> Vec<NodeId> {
-        let pos = self.position(node, t);
-        let r2 = self.cfg.radio_range_m * self.cfg.radio_range_m;
-        (0..self.nodes.len())
-            .filter(|&n| n != node && self.position(n, t).distance_sq(pos) <= r2)
-            .collect()
-    }
+    // --- transmission -----------------------------------------------------
 
     fn count_tx(&mut self, packet: &Packet) {
         match packet {
@@ -251,10 +207,7 @@ impl Simulator {
     /// currently in range after the hop latency (+ per-receiver jitter).
     fn broadcast(&mut self, from: NodeId, packet: Packet, t: SimTime) {
         self.count_tx(&packet);
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::Tx { t, node: from, kind: packet.label() });
-        }
-        for to in self.neighbors_of(from, t) {
+        for to in self.radio.neighbors_of(from, t) {
             let jitter = self.rng.gen_range(0..3);
             self.queue.schedule(
                 t + self.cfg.hop_latency_ms + jitter,
@@ -267,13 +220,10 @@ impl Simulator {
     /// transmitting) when the target has moved out of range — the MAC-layer
     /// feedback AODV uses for immediate link-break detection.
     fn unicast(&mut self, from: NodeId, to: NodeId, packet: Packet, t: SimTime) -> bool {
-        if !self.in_range(from, to, t) {
+        if !self.radio.in_range(from, to, t) {
             return false;
         }
         self.count_tx(&packet);
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::Tx { t, node: from, kind: packet.label() });
-        }
         let jitter = self.rng.gen_range(0..3);
         self.queue.schedule(
             t + self.cfg.hop_latency_ms + jitter,
@@ -364,11 +314,6 @@ impl Simulator {
         self.nodes[node].hear(neighbor, t - self.cfg.neighbor_timeout_ms - 1);
         let _ = self.nodes[node].expire_neighbors(t, self.cfg.neighbor_timeout_ms);
         let unreachable = self.nodes[node].invalidate_via(neighbor, t);
-        if self.trace.enabled() {
-            for &(dst, _) in &unreachable {
-                self.trace.push(TraceEvent::RouteInvalidated { t, node, dst });
-            }
-        }
         if !unreachable.is_empty() {
             let ttl = self.cfg.rerr_ttl;
             self.broadcast(node, Packet::Rerr { unreachable, ttl }, t);
@@ -416,21 +361,13 @@ impl Simulator {
         } else {
             // Give up: drop the buffered packets.
             self.nodes[node].pending_discovery.remove(&dst);
-            let dropped = self.nodes[node].buffer.remove(&dst);
-            if self.trace.enabled() {
-                if let Some(d) = &dropped {
-                    self.trace.push(TraceEvent::BufferDropped { t, node, dst, count: d.len() });
-                }
-            }
+            self.nodes[node].buffer.remove(&dst);
         }
     }
 
     // --- packet handlers ----------------------------------------------------
 
     fn on_deliver(&mut self, to: NodeId, from: NodeId, packet: Packet, t: SimTime) {
-        if self.trace.enabled() {
-            self.trace.push(TraceEvent::Rx { t, node: to, from, kind: packet.label() });
-        }
         self.nodes[to].hear(from, t);
         match packet {
             Packet::Hello { .. } => {}
@@ -475,7 +412,7 @@ impl Simulator {
             t,
             self.cfg.route_lifetime_ms,
         );
-        self.note_route_event(node, origin, changed, t);
+        self.note_route_event(node, origin, changed);
 
         if node == dst {
             // Destination reply: freshen own sequence number first.
@@ -532,7 +469,7 @@ impl Simulator {
             t,
             self.cfg.route_lifetime_ms,
         );
-        self.note_route_event(node, dst, changed, t);
+        self.note_route_event(node, dst, changed);
 
         if node == origin {
             // Discovery complete: flush the buffer.
@@ -592,14 +529,9 @@ impl Simulator {
 
     /// Record a route-change event for Figure 8a when a CBR source's usable
     /// next hop toward its pair destination changes.
-    fn note_route_event(&mut self, node: NodeId, dst: NodeId, changed: bool, t: SimTime) {
+    fn note_route_event(&mut self, node: NodeId, dst: NodeId, changed: bool) {
         if !changed {
             return;
-        }
-        if self.trace.enabled() {
-            if let Some(r) = self.nodes[node].route(dst, t) {
-                self.trace.push(TraceEvent::RouteInstalled { t, node, dst, next_hop: r.next_hop });
-            }
         }
         if let Some(&idx) = self.pair_index.get(&(node, dst)) {
             self.pairs[idx].route_changes += 1;
@@ -610,6 +542,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geosocial_geo::Point;
 
     /// Static nodes on a line, spaced 800 m (range 1 km): a 4-hop chain.
     fn chain(n: usize, duration_s: i64) -> Vec<MovementTrace> {
@@ -695,6 +628,18 @@ mod tests {
     }
 
     #[test]
+    fn rreq_rrep_handshake_installs_a_route_and_delivers() {
+        // Data from 0 reaches 2 only over a route that node 0 installed
+        // from an RREP answering its RREQ flood.
+        let cfg = SimConfig { duration_ms: 20_000, ..Default::default() };
+        let report = Simulator::new(chain(3, 30), vec![(0, 2)], cfg, 1).run();
+        let p = &report.pairs[0];
+        assert!(p.data_delivered > 0, "no data delivered");
+        assert!(p.route_changes >= 1, "the source never installed a route");
+        assert!(p.routing_tx > 0 && report.total_routing_tx > 0, "no RREQ/RREP was sent");
+    }
+
+    #[test]
     fn deterministic_under_seed() {
         let r1 = Simulator::new(chain(4, 60), vec![(0, 3)], quick_cfg(60_000), 9).run();
         let r2 = Simulator::new(chain(4, 60), vec![(0, 3)], quick_cfg(60_000), 9).run();
@@ -724,71 +669,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_pair_rejected() {
         Simulator::new(chain(2, 10), vec![(0, 5)], quick_cfg(1_000), 0);
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use crate::trace_log::TraceEvent;
-
-    fn chain(n: usize, duration_s: i64) -> Vec<MovementTrace> {
-        (0..n)
-            .map(|i| {
-                MovementTrace::new(vec![
-                    (0, Point::new(i as f64 * 800.0, 0.0)),
-                    (duration_s, Point::new(i as f64 * 800.0, 0.0)),
-                ])
-            })
-            .collect()
-    }
-
-    #[test]
-    fn rreq_rrep_handshake_appears_in_trace() {
-        let cfg = SimConfig { duration_ms: 20_000, ..Default::default() };
-        let (_, trace) =
-            Simulator::new(chain(3, 30), vec![(0, 2)], cfg, 1).with_trace(50_000).run_traced();
-        let events = trace.events();
-        assert!(!events.is_empty());
-        // First RREQ transmission precedes the first RREP transmission.
-        let first_rreq = events
-            .iter()
-            .find(|e| matches!(e, TraceEvent::Tx { kind: "RREQ", .. }))
-            .expect("a discovery happened");
-        let first_rrep = events
-            .iter()
-            .find(|e| matches!(e, TraceEvent::Tx { kind: "RREP", .. }))
-            .expect("the destination replied");
-        assert!(first_rreq.time() <= first_rrep.time());
-        // The destination (node 2) received the RREQ before replying.
-        let dst_rx =
-            events.iter().any(|e| matches!(e, TraceEvent::Rx { node: 2, kind: "RREQ", .. }));
-        assert!(dst_rx, "destination never saw the RREQ");
-        // The source eventually installed a route to the destination.
-        let installed =
-            events.iter().any(|e| matches!(e, TraceEvent::RouteInstalled { node: 0, dst: 2, .. }));
-        assert!(installed, "source never installed a route");
-    }
-
-    #[test]
-    fn timestamps_are_monotone() {
-        let cfg = SimConfig { duration_ms: 15_000, ..Default::default() };
-        let (_, trace) =
-            Simulator::new(chain(4, 20), vec![(0, 3)], cfg, 2).with_trace(100_000).run_traced();
-        for w in trace.events().windows(2) {
-            assert!(w[0].time() <= w[1].time(), "trace out of order");
-        }
-    }
-
-    #[test]
-    fn untraced_run_is_unchanged() {
-        let cfg = SimConfig { duration_ms: 20_000, ..Default::default() };
-        let plain = Simulator::new(chain(3, 30), vec![(0, 2)], cfg.clone(), 3).run();
-        let (traced, log) =
-            Simulator::new(chain(3, 30), vec![(0, 2)], cfg, 3).with_trace(10).run_traced();
-        // Tracing must not perturb the simulation itself.
-        assert_eq!(plain.total_routing_tx, traced.total_routing_tx);
-        assert_eq!(plain.pairs[0].data_delivered, traced.pairs[0].data_delivered);
-        assert_eq!(log.events().len(), 10, "capacity bound respected");
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use crate::protocol::{DrainReport, Response, ServerStats, TraceDump, TraceSpan};
+use crate::protocol::{Response, ServerStats, TraceDump, TraceSpan};
 
 /// The answer when a shard cannot answer at all (worker hung up, process
 /// unreachable).
@@ -19,8 +19,8 @@ pub(crate) fn shard_gone() -> Response {
 }
 
 /// Merge the per-shard replies to one broadcast request into one
-/// response. Any shard error wins; countable responses (`Stats`,
-/// `Drained`) sum; concatenating responses (`Verdicts`, `Compositions`)
+/// response. Any shard error wins; countable responses (`Stats`) sum;
+/// concatenating responses (`Verdicts`, `Compositions`)
 /// extend, with `Compositions` re-sorted by user so arrival order never
 /// shows.
 pub(crate) fn merge_responses(replies: impl IntoIterator<Item = Response>) -> Response {
@@ -52,13 +52,6 @@ pub(crate) fn merge_responses(replies: impl IntoIterator<Item = Response>) -> Re
                     total.buffered_state += stats.buffered_state;
                     total.composition.merge(&stats.composition);
                     total.per_shard.extend(stats.per_shard);
-                }
-            }
-            Response::Drained { report } => {
-                if let Response::Drained { report: total } = merged
-                    .get_or_insert_with(|| Response::Drained { report: DrainReport::default() })
-                {
-                    total.merge(&report)
                 }
             }
             Response::Compositions { compositions } => {

@@ -163,7 +163,7 @@ pub enum Request {
     ShardMap,
     /// Cluster control plane, answered by `geosocial-router` only: point a
     /// shard-map entry at a replacement process. The caller quiesces the
-    /// old process *first* — drain + shutdown for a planned handoff (its
+    /// old process *first* — `Shutdown` for a planned handoff (its
     /// event store is then durable and can be shipped with the store
     /// crate's handoff export/import), or it simply died — then starts the
     /// replacement on the shipped store directory and sends `Handoff`.
@@ -180,17 +180,6 @@ pub enum Request {
         shard: u64,
         /// `host:port` the replacement process will serve on.
         addr: String,
-    },
-    /// Graceful drain. With `finalize: false` this is a non-destructive
-    /// quiesce: every shard reports its residual state (pending checkins,
-    /// open visits and stay windows) and ingestion may resume afterwards
-    /// with no effect on any verdict. With `finalize: true` the shards
-    /// additionally close open stay windows, finalize every pending
-    /// verdict (like [`Request::Finish`]) and report what that forced —
-    /// the supported last call before `Shutdown`.
-    Drain {
-        /// Finalize the stream after reporting residual state.
-        finalize: bool,
     },
     /// Stop the server once in-flight connections drain.
     Shutdown,
@@ -273,11 +262,6 @@ pub enum Response {
     MetricsHistory {
         /// Rates/deltas over the retained snapshot ring.
         report: MetricsHistoryReport,
-    },
-    /// Answer to [`Request::Drain`].
-    Drained {
-        /// Residual-state report merged over every shard.
-        report: DrainReport,
     },
     /// Answer to [`Request::ShardMap`] (router only).
     ShardMap {
@@ -381,63 +365,6 @@ impl ServerStats {
         self.buffered_state += buffered;
         self.composition.merge(&comp);
         self.per_shard.push(s);
-    }
-}
-
-/// What a [`Request::Drain`] found (and, when finalizing, forced): the
-/// residual state a shard still held when asked to quiesce.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DrainReport {
-    /// Shards that contributed to this report.
-    pub shards: usize,
-    /// Users with live state.
-    pub users: usize,
-    /// Checkins still awaiting finalization at drain time.
-    pub pending_checkins: usize,
-    /// Detected visits whose winning checkin was not yet fixed.
-    pub open_visits: usize,
-    /// GPS fixes buffered inside still-open stay windows.
-    pub open_window_fixes: usize,
-    /// Checkins the drain itself force-finalized with incomplete evidence
-    /// (always 0 for a non-finalizing drain).
-    pub forced_by_drain: usize,
-    /// Verdicts the drain flushed out of shard queues (always 0 for a
-    /// non-finalizing drain — served verdicts travel on ingest responses).
-    pub verdicts_flushed: usize,
-    /// Whether the stream was finalized (`Drain { finalize: true }` or an
-    /// earlier `Finish`); ingestion is refused afterwards.
-    pub finalized: bool,
-    /// Event-store records appended across all shards (sum of per-shard
-    /// log lengths). `#[serde(default)]`: reports from pre-store servers
-    /// parse as 0.
-    #[serde(default)]
-    pub store_records: u64,
-    /// Event-store log segments across all shards.
-    #[serde(default)]
-    pub store_segments: usize,
-    /// Event-store bytes on disk across all shards (segments, snapshots
-    /// excluded).
-    #[serde(default)]
-    pub store_bytes: u64,
-    /// Aggregate composition after the drain.
-    pub composition: StreamComposition,
-}
-
-impl DrainReport {
-    /// Merge one shard's report into a server-wide one.
-    pub fn merge(&mut self, o: &DrainReport) {
-        self.shards += o.shards;
-        self.users += o.users;
-        self.pending_checkins += o.pending_checkins;
-        self.open_visits += o.open_visits;
-        self.open_window_fixes += o.open_window_fixes;
-        self.forced_by_drain += o.forced_by_drain;
-        self.verdicts_flushed += o.verdicts_flushed;
-        self.finalized |= o.finalized;
-        self.store_records += o.store_records;
-        self.store_segments += o.store_segments;
-        self.store_bytes += o.store_bytes;
-        self.composition.merge(&o.composition);
     }
 }
 
@@ -594,10 +521,6 @@ mod tests {
             Request::Stats => {}
             other => panic!("bad roundtrip: {other:?}"),
         }
-        match roundtrip(Request::Drain { finalize: true }) {
-            Request::Drain { finalize: true } => {}
-            other => panic!("bad roundtrip: {other:?}"),
-        }
         match roundtrip(Request::Metrics) {
             Request::Metrics => {}
             other => panic!("bad roundtrip: {other:?}"),
@@ -617,24 +540,6 @@ mod tests {
             Request::Window { cohort, t0: 10, t1: 99 } => assert_eq!(cohort, vec![1, 9, 4]),
             other => panic!("bad roundtrip: {other:?}"),
         }
-    }
-
-    #[test]
-    fn drain_report_without_store_fields_still_parses() {
-        // A report serialized by a pre-store server omits the store
-        // counters; `#[serde(default)]` must fill them with zeros. A field
-        // the report does not know (`held_events`) is ignored.
-        let json = r#"{"shards":2,"users":5,"pending_checkins":0,"held_events":0,
-            "open_visits":0,"open_window_fixes":0,"forced_by_drain":0,
-            "verdicts_flushed":0,"finalized":true,"composition":{
-            "user":0,"total_checkins":0,"honest":0,"superfluous":0,"remote":0,
-            "driveby":0,"unclassified":0,"visits_total":0,"missing_visits":0,
-            "pending_checkins":0,"late_dropped":0,"forced":0}}"#;
-        let report: DrainReport = serde_json::from_str(json).expect("old report parses");
-        assert_eq!(report.shards, 2);
-        assert_eq!(report.store_records, 0);
-        assert_eq!(report.store_segments, 0);
-        assert_eq!(report.store_bytes, 0);
     }
 
     #[test]

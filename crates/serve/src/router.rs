@@ -7,7 +7,7 @@
 //! ([`crate::wire::peek_route`]), forwards user-addressed frames to the
 //! owning shard process (chosen by the rendezvous map in
 //! [`crate::cluster`]) as **raw bytes**, and fans broadcast frames
-//! (`Hello`, `Window`, `Stats`, `Finish`, `Drain`, `Traces`, `Metrics`)
+//! (`Hello`, `Window`, `Stats`, `Finish`, `Traces`, `Metrics`)
 //! out to every shard, merging the answers through [`crate::merge`]
 //! — the same fold the single-process server uses, which is what makes a
 //! cluster byte-indistinguishable from one process.
@@ -592,7 +592,7 @@ fn handle_wide(
                 BroadcastKind::Traces { slowest, trace_id: id, id_ok, path },
             )
         }
-        // Hello / Window / Stats / Finish / Drain
+        // Hello / Window / Stats / Finish
         _ => broadcast(conn, shared, owed_tx, payload, fmt, BroadcastKind::Plain),
     }
 }

@@ -50,16 +50,12 @@
 //!   a batch audit truncated at that watermark) and `Window { cohort,
 //!   t0, t1 }` answers cohort compositions over a time range — both
 //!   online, while ingest and replay continue.
-//! * **Graceful drain** — the `Drain` request reports residual state
-//!   (pending checkins, open visits/windows) and,
-//!   when asked to finalize, flushes it all before the operator sends
-//!   `Shutdown`.
 //!
 //! Shutdown is cooperative and std-only: a `Shutdown` request flips a flag
 //! and self-connects to unblock the acceptor; shard workers exit when the
 //! last channel sender drops, and the final per-shard counters are dumped
 //! to stderr before `run_with` returns. (There is no SIGTERM hook — `std`
-//! exposes no signal API — so `drain`/`stats`/`shutdown` requests are the
+//! exposes no signal API — so `finish`/`stats`/`shutdown` requests are the
 //! supported ways to quiesce a live server.)
 
 use geosocial_fault::FaultPlan;
@@ -84,8 +80,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame_into, DrainReport, MetricsHistoryReport, Request, Response, SeriesRate, ServerStats,
-    ShardStats, TraceDump, TraceSpan, WireFix,
+    read_frame_into, MetricsHistoryReport, Request, Response, SeriesRate, ServerStats, ShardStats,
+    TraceDump, TraceSpan, WireFix,
 };
 use crate::wire::{self, RoutePeek, WireFormat};
 
@@ -102,7 +98,6 @@ mod metrics {
     cached!(duplicates, counter, Counter, "serve.duplicates");
     cached!(recoveries, counter, Counter, "serve.recoveries");
     cached!(conn_timeouts, counter, Counter, "serve.conn.timeouts");
-    cached!(drains, counter, Counter, "serve.drains");
     cached!(latency_hello, histogram, Histogram, "serve.latency_us.hello");
     cached!(latency_gps, histogram, Histogram, "serve.latency_us.gps");
     cached!(latency_run, histogram, Histogram, "serve.latency_us.run");
@@ -112,7 +107,6 @@ mod metrics {
     cached!(latency_window, histogram, Histogram, "serve.latency_us.window");
     cached!(latency_stats, histogram, Histogram, "serve.latency_us.stats");
     cached!(latency_finish, histogram, Histogram, "serve.latency_us.finish");
-    cached!(latency_drain, histogram, Histogram, "serve.latency_us.drain");
     cached!(latency_metrics, histogram, Histogram, "serve.latency_us.metrics");
     cached!(latency_traces, histogram, Histogram, "serve.latency_us.traces");
     cached!(latency_history, histogram, Histogram, "serve.latency_us.history");
@@ -269,7 +263,6 @@ pub(crate) enum ShardCmd {
     Window { cohort: Vec<UserId>, t0: i64, t1: i64 },
     Traces { trace_id: Option<u128>, slowest: usize, path: Option<String> },
     Stats,
-    Drain { finalize: bool },
     Finish,
 }
 
@@ -311,7 +304,6 @@ fn shard_cmd(req: Request) -> Option<ShardCmd> {
             path,
         },
         Request::Stats => ShardCmd::Stats,
-        Request::Drain { finalize } => ShardCmd::Drain { finalize },
         Request::Finish => ShardCmd::Finish,
         Request::Metrics
         | Request::MetricsHistory { .. }
@@ -619,35 +611,6 @@ impl ShardState {
                 total.absorb(self.stats.clone(), comp, buffered);
                 Response::Stats { stats: total }
             }
-            ShardCmd::Drain { finalize } => {
-                let mut report = DrainReport {
-                    shards: 1,
-                    users: self.auditors.len(),
-                    finalized: self.finished,
-                    ..Default::default()
-                };
-                for a in &self.auditors {
-                    report.pending_checkins += a.composition().pending_checkins;
-                    report.open_visits += a.open_visits();
-                    report.open_window_fixes += a.open_window_fixes();
-                }
-                if *finalize && !self.finished {
-                    // Everything still pending is finalized with the
-                    // evidence at hand — record how much that was.
-                    report.forced_by_drain = report.pending_checkins;
-                    report.verdicts_flushed = self.finalize(obs, store.as_deref_mut()).len();
-                    report.finalized = true;
-                }
-                if let Some(st) = store.as_deref() {
-                    report.store_records = st.next_lsn();
-                    report.store_segments = st.segment_count();
-                    report.store_bytes = st.total_bytes();
-                }
-                for a in &self.auditors {
-                    report.composition.merge(&a.composition());
-                }
-                Response::Drained { report }
-            }
             ShardCmd::Finish => Response::Verdicts { verdicts: self.finalize(obs, store) },
         }
     }
@@ -814,7 +777,7 @@ fn shard_worker(
         } else if matches!(cmd, ShardCmd::Stats) {
             shard_metrics.refresh(&live.auditors);
         }
-        let finalizes = matches!(cmd, ShardCmd::Finish | ShardCmd::Drain { finalize: true });
+        let finalizes = matches!(cmd, ShardCmd::Finish);
 
         // Trace queries read the shard's trace stream directly; they
         // never touch auditor state, so they bypass `apply` entirely.
@@ -917,7 +880,7 @@ fn shard_worker(
         }
         if finalizes {
             // Make the collected traces durable at the same points the
-            // operator quiesces the shard (drain-finalize and finish).
+            // operator quiesces the shard (finish).
             if let Some(ts) = trace_store.as_mut() {
                 if let Err(e) = ts.flush() {
                     geosocial_obs::warn!("serve", "trace stream flush failed";
@@ -1329,7 +1292,6 @@ fn handle_conn(
             Request::Metrics => (metrics::latency_metrics(), true),
             Request::Traces { .. } => (metrics::latency_traces(), true),
             Request::MetricsHistory { .. } => (metrics::latency_history(), true),
-            Request::Drain { .. } => (metrics::latency_drain(), false),
             Request::Finish | Request::Shutdown => (metrics::latency_finish(), false),
             // Cluster control answered with an error below; bucket with
             // the other control queries.
@@ -1338,10 +1300,6 @@ fn handle_conn(
         if query {
             queries.fetch_add(1, Ordering::Relaxed);
             metrics::queries().inc();
-        }
-        if let Request::Drain { finalize } = req {
-            metrics::drains().inc();
-            geosocial_obs::info!("serve", "drain requested"; finalize = finalize);
         }
         // Route exactly as the cluster router does (`wire::route_of`): one
         // shard for user-addressed requests, every shard for broadcasts,

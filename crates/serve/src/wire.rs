@@ -14,8 +14,8 @@
 //!
 //! Both formats are first-class on the same port: a connection may switch
 //! per frame, and the server answers each request in the format it arrived
-//! in (control-plane responses — `Stats`, `Composition`, `Drained`,
-//! `Metrics` — always travel as JSON, deliberately: they are rare, big,
+//! in (control-plane responses — `Stats`, `Composition`, `Metrics` —
+//! always travel as JSON, deliberately: they are rare, big,
 //! and worth keeping human-readable; the data-plane responses `Ok`,
 //! `Verdicts` and `Error` go binary on a binary request).
 //!
@@ -48,7 +48,7 @@
 //! 0x85 Stats
 //! 0x86 Metrics
 //! 0x87 Finish
-//! 0x88 Drain     finalize u8 (0|1)
+//! 0x88           (retired: was Drain; decodes as an unknown opcode)
 //! 0x89 Shutdown
 //! 0x8A GpsRun    user varint, first_seq varint, count varint,
 //!                first fix: t zigzag, lat f64, lon f64,
@@ -169,7 +169,6 @@ const OP_USER: u8 = 0x84;
 const OP_STATS: u8 = 0x85;
 const OP_METRICS: u8 = 0x86;
 const OP_FINISH: u8 = 0x87;
-const OP_DRAIN: u8 = 0x88;
 const OP_SHUTDOWN: u8 = 0x89;
 const OP_GPS_RUN: u8 = 0x8A;
 const OP_AS_OF: u8 = 0x8B;
@@ -290,10 +289,6 @@ pub fn encode_request_payload(out: &mut Vec<u8>, req: &Request) {
         Request::Stats => out.push(OP_STATS),
         Request::Metrics => out.push(OP_METRICS),
         Request::Finish => out.push(OP_FINISH),
-        Request::Drain { finalize } => {
-            out.push(OP_DRAIN);
-            out.push(*finalize as u8);
-        }
         Request::Shutdown => out.push(OP_SHUTDOWN),
         other @ (Request::ShardMap | Request::Handoff { .. }) => {
             unreachable!("cluster control request {other:?} has no binary form")
@@ -336,7 +331,6 @@ pub fn route_of(req: &Request) -> RoutePeek {
         | Request::Window { .. }
         | Request::Stats
         | Request::Finish
-        | Request::Drain { .. }
         | Request::Traces { .. } => RoutePeek::Broadcast,
         Request::Metrics
         | Request::MetricsHistory { .. }
@@ -394,7 +388,7 @@ pub fn peek_route(payload: &[u8]) -> Result<(RoutePeek, Option<TraceContext>), C
     let (mut r, ctx) = open_request(payload)?;
     let route = match r.byte()? {
         OP_GPS | OP_GPS_RUN | OP_CHECKIN | OP_USER | OP_AS_OF => RoutePeek::User(r.u32("user id")?),
-        OP_HELLO | OP_WINDOW | OP_STATS | OP_FINISH | OP_DRAIN | OP_TRACES => RoutePeek::Broadcast,
+        OP_HELLO | OP_WINDOW | OP_STATS | OP_FINISH | OP_TRACES => RoutePeek::Broadcast,
         OP_METRICS | OP_METRICS_HISTORY | OP_SHUTDOWN => RoutePeek::Control,
         other => return Err(bad(r.pos() - 1, format!("unknown request opcode 0x{other:02X}"))),
     };
@@ -479,15 +473,6 @@ fn read_request(r: &mut Reader<'_>) -> Result<Request, CodecError> {
         OP_STATS => Request::Stats,
         OP_METRICS => Request::Metrics,
         OP_FINISH => Request::Finish,
-        OP_DRAIN => match r.byte()? {
-            flag @ (0 | 1) => Request::Drain { finalize: flag == 1 },
-            flag => {
-                return Err(bad(
-                    r.pos() - 1,
-                    format!("drain finalize flag must be 0|1, got {flag}"),
-                ))
-            }
-        },
         OP_SHUTDOWN => Request::Shutdown,
         other => return Err(bad(r.pos() - 1, format!("unknown request opcode 0x{other:02X}"))),
     };
@@ -676,7 +661,7 @@ pub(crate) fn read_verdict(r: &mut Reader<'_>) -> Result<AuditVerdict, CodecErro
 }
 
 /// Whether `resp` has a binary form. Control-plane responses (`Stats`,
-/// `Composition`, `AsOf`, `Compositions`, `Drained`, `Metrics`)
+/// `Composition`, `AsOf`, `Compositions`, `Metrics`)
 /// deliberately do not: they stay JSON on every connection.
 pub fn response_has_binary_form(resp: &Response) -> bool {
     matches!(resp, Response::Ok | Response::Verdicts { .. } | Response::Error { .. })
@@ -901,6 +886,15 @@ mod tests {
         put_varint(&mut bytes, u64::MAX); // count
         let e = decode_request_binary(&bytes).expect_err("oversized run");
         assert!(e.detail.contains("cap"), "got: {e}");
+    }
+
+    #[test]
+    fn retired_drain_opcode_is_unknown() {
+        for bytes in [&[0x88, 0][..], &[0x88, 1]] {
+            let e = decode_request_binary(bytes).expect_err("0x88 is retired");
+            assert!(e.detail.contains("unknown request opcode 0x88"), "got: {e}");
+            assert!(peek_route(bytes).is_err(), "the router must not route 0x88");
+        }
     }
 
     #[test]

@@ -336,12 +336,12 @@ fn bad_coordinates_are_refused_at_the_edge() {
         Response::Ok => {}
         other => panic!("expected Ok for Hello, got {other:?}"),
     }
-    let store_records = |resp: Response| match resp {
-        Response::Drained { report } => report.store_records,
-        other => panic!("expected Drained, got {other:?}"),
+    // Events user 1 has in the store: a refused frame must add none.
+    let applied = |resp: Response| match resp {
+        Response::AsOf { applied, .. } => applied,
+        other => panic!("expected AsOf, got {other:?}"),
     };
-    let drain = Request::Drain { finalize: false };
-    let records_after_hello = store_records(ask(&drain, WireFormat::Json));
+    let as_of = Request::AsOf { user: 1, t: i64::MAX };
     for fmt in [WireFormat::Json, WireFormat::Binary] {
         refused(ask(&gps(95.0, lon), fmt), "Gps lat 95");
         refused(ask(&run(95.0), fmt), "GpsRun fix 3 lat 95");
@@ -362,17 +362,14 @@ fn bad_coordinates_are_refused_at_the_edge() {
         }
         other => panic!("expected Stats, got {other:?}"),
     }
+    assert_eq!(applied(ask(&as_of, WireFormat::Json)), 0, "a refused event reached the store");
     // Longitude is normalized, so any finite value is valid; sequence 0 is
     // still the user's next event.
     match ask(&gps(lat, 240.14), WireFormat::Binary) {
         Response::Verdicts { .. } => {}
         other => panic!("expected Verdicts for a valid Gps, got {other:?}"),
     }
-    assert_eq!(
-        store_records(ask(&drain, WireFormat::Json)),
-        records_after_hello + 1,
-        "only the valid fix reached the store"
-    );
+    assert_eq!(applied(ask(&as_of, WireFormat::Json)), 1, "only the valid fix reached the store");
 
     drop(w);
     drop(r);

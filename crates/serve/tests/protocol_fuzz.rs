@@ -20,18 +20,17 @@ fn frame(req: &Request) -> Vec<u8> {
 
 /// A random-but-valid request to mutate.
 fn request_for(pick: u8, user: u32, seq: u64, t: i64, x: f64) -> Request {
-    match pick % 5 {
+    match pick % 4 {
         0 => Request::Gps { user, seq, t, lat: x, lon: -x },
         1 => Request::Checkin { user, seq, t, poi: user.wrapping_add(7), lat: x, lon: x / 2.0 },
         2 => Request::Hello { origin_lat: x, origin_lon: -x },
-        3 => Request::GpsRun {
+        _ => Request::GpsRun {
             user,
             first_seq: seq,
             fixes: (0..(user % 7) as i64)
                 .map(|i| WireFix { t: t + 60 * i, lat: x + 1e-4 * i as f64, lon: -x })
                 .collect(),
         },
-        _ => Request::Drain { finalize: seq.is_multiple_of(2) },
     }
 }
 

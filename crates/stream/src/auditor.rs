@@ -383,16 +383,6 @@ impl OnlineAuditor {
         self.pending.len() + self.gps_window.len() + self.detector.pending_len() + self.visits.len()
     }
 
-    /// Emitted visits whose winning checkin is not yet fixed.
-    pub fn open_visits(&self) -> usize {
-        self.visits.iter().filter(|v| !v.resolved).count()
-    }
-
-    /// Fixes buffered inside the detector's open stay window.
-    pub fn open_window_fixes(&self) -> usize {
-        self.detector.pending_len()
-    }
-
     /// Export the auditor's complete mutable state as plain data for a
     /// durable snapshot. Everything derivable from the config — the
     /// projection, thresholds, budgets, local coordinates — is omitted and
