@@ -104,7 +104,10 @@ pub(crate) fn pair_set(
 pub struct MetricsReport {
     /// One record per CBR pair.
     pub pairs: Vec<PairMetrics>,
-    /// Every routing-packet transmission in the run (incl. unattributed).
+    /// Every routing-packet (RREQ, RREP, RERR) transmission in the run
+    /// (incl. unattributed): Figure 8c's overhead. Hello beacons count
+    /// apart — constant background independent of the mobility input, as
+    /// in most NS-2 AODV studies.
     pub total_routing_tx: u64,
     /// Every data-packet transmission (hops, not end-to-end deliveries).
     pub total_data_tx: u64,

@@ -58,53 +58,3 @@ pub enum Packet {
         ttl: u8,
     },
 }
-
-impl Packet {
-    /// Whether this packet counts as routing overhead (Figure 8c's
-    /// numerator). Hello beacons are constant background independent of
-    /// the mobility input, so — like most NS-2 AODV studies — they are
-    /// excluded.
-    pub fn is_routing(&self) -> bool {
-        matches!(self, Packet::Rreq { .. } | Packet::Rrep { .. } | Packet::Rerr { .. })
-    }
-
-    /// Short label for logs and traces.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Packet::Rreq { .. } => "RREQ",
-            Packet::Rrep { .. } => "RREP",
-            Packet::Rerr { .. } => "RERR",
-            Packet::Hello { .. } => "HELLO",
-            Packet::Data { .. } => "DATA",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn routing_classification() {
-        assert!(Packet::Rreq {
-            origin: 0,
-            rreq_id: 1,
-            dst: 2,
-            origin_seq: 1,
-            dst_seq: 0,
-            hop_count: 0,
-            ttl: 30
-        }
-        .is_routing());
-        assert!(Packet::Rrep { origin: 0, dst: 1, dst_seq: 2, hop_count: 0 }.is_routing());
-        assert!(Packet::Rerr { unreachable: vec![], ttl: 1 }.is_routing());
-        assert!(!Packet::Hello { seq: 1 }.is_routing());
-        assert!(!Packet::Data { src: 0, dst: 1, seq: 0, ttl: 32 }.is_routing());
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(Packet::Hello { seq: 0 }.label(), "HELLO");
-        assert_eq!(Packet::Data { src: 0, dst: 1, seq: 0, ttl: 1 }.label(), "DATA");
-    }
-}

@@ -13,7 +13,7 @@ use geosocial_obs::trace::TraceContext;
 use geosocial_stream::{AuditConfig, AuditVerdict, OnlineAuditor, VerdictKind};
 
 use crate::protocol::{Request, Response, WireFix};
-use crate::server::{ServerConfig, ShardCmd, ShardState};
+use crate::shard::ShardState;
 use crate::snapshot::{decode_state, encode_state};
 use crate::wire::{
     decode_request_traced, decode_response, encode_request_frame, encode_response_frame,
@@ -126,10 +126,9 @@ fn verdicts_response_bytes() {
 /// verdict record sits just before the trailing composition.
 #[test]
 fn snapshot_verdict_record_bytes() {
-    let config = ServerConfig::default();
     let origin = LatLon::new(34.42, -119.86);
     let mut state = ShardState::new(1);
-    state.apply(&ShardCmd::SetOrigin { origin }, &config, None, None);
+    state.apply(&Request::Hello { origin_lat: origin.lat, origin_lon: origin.lon }, None);
     let audit = AuditConfig::paper(origin);
     let mut astate = OnlineAuditor::new(300, audit.clone()).export_state();
     astate.verdicts = vec![verdict(4, VerdictKind::Remote, None)];

@@ -235,7 +235,8 @@ pub struct TracePathLatency {
 /// (their event order is the sequence contract) but not by other users'
 /// events — per-user state is independent, so holding one user's open run
 /// while another user's events flush cannot change any verdict.
-fn partition_events(
+/// Returns the lanes plus the GPS-fix and checkin counts.
+pub fn partition_events(
     ds: &Dataset,
     connections: usize,
     run_len: usize,

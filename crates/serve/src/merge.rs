@@ -10,6 +10,8 @@
 
 use std::collections::HashMap;
 
+use geosocial_obs::trace::SpanRecord;
+
 use crate::protocol::{Response, ServerStats, TraceDump, TraceSpan};
 
 /// The answer when a shard cannot answer at all (worker hung up, process
@@ -137,4 +139,46 @@ pub(crate) fn rank_traces(
         traces.truncate(slowest);
     }
     traces
+}
+
+/// Group spans into traces — only trace `trace_id` when given, only the
+/// traces with a span whose name contains `path` when given — and rank
+/// them with [`rank_traces`]. A trace's `root_dur_us` is its extent among
+/// these spans (earliest start to latest end), equal to the root span's
+/// duration once merged, since the synthesized `client.send` leg starts
+/// at the root's start stamp. A shard answers its part of a `Traces`
+/// request this way, and the router its own forward spans.
+pub(crate) fn rank_spans(
+    spans: impl IntoIterator<Item = SpanRecord>,
+    trace_id: Option<u128>,
+    path: Option<&str>,
+    slowest: usize,
+) -> Vec<TraceDump> {
+    let mut by_trace: HashMap<String, Vec<TraceSpan>> = HashMap::new();
+    for span in spans {
+        if trace_id.is_some_and(|id| id != span.trace_id) {
+            continue;
+        }
+        let span = wire_span(span);
+        by_trace.entry(span.trace_id.clone()).or_default().push(span);
+    }
+    if let Some(p) = path {
+        by_trace.retain(|_, spans| spans.iter().any(|s| s.name.contains(p)));
+    }
+    rank_traces(by_trace, slowest)
+}
+
+/// One span in protocol form (trace id as 32-hex — the vendored serde has
+/// no u128 support, and hex ids are what operators grep anyway).
+fn wire_span(s: SpanRecord) -> TraceSpan {
+    TraceSpan {
+        trace_id: geosocial_obs::trace::trace_hex(s.trace_id),
+        span_id: s.span_id,
+        parent: s.parent,
+        name: s.name,
+        start_us: s.start_us,
+        dur_us: s.dur_us,
+        flags: s.flags,
+        shard: s.shard,
+    }
 }

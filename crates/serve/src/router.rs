@@ -62,7 +62,7 @@ use std::time::Duration;
 use crate::cluster::ShardMap;
 use crate::merge;
 use crate::protocol::{read_frame_into, Request, Response};
-use crate::server::{accept_loop, history_report, is_timeout, rank_spans};
+use crate::server::{accept_loop, history_report, is_timeout};
 use crate::wire::{self, RoutePeek, WireFormat};
 use geosocial_obs::trace::{self, SpanRecord, TraceContext};
 
@@ -455,7 +455,7 @@ fn link_recv(conn: &ConnCtl, idx: usize) -> io::Result<Vec<u8>> {
 /// in the experiments) is not double-counted.
 fn router_traces_reply(trace_id: Option<u128>, path: Option<&str>) -> Response {
     let spans = trace::collector().spans().into_iter().filter(|s| s.name.starts_with("router."));
-    Response::Traces { traces: rank_spans(spans, trace_id, path, 0) }
+    Response::Traces { traces: merge::rank_spans(spans, trace_id, path, 0) }
 }
 
 /// Merge shard `Metrics` texts: the router's registry first, then each

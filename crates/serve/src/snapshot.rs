@@ -13,7 +13,7 @@
 //!   from, so crash recovery routes replayed events through the very same
 //!   `apply` path as a fresh delivery.
 //! * **Shard snapshots** — the complete crash-replaceable state of one
-//!   shard ([`crate::server`]'s `ShardState`) as one byte string, stored
+//!   shard ([`crate::shard`]'s `ShardState`) as one byte string, stored
 //!   in the event store's compacted snapshot files. The auditors export
 //!   through `geosocial-stream`'s plain-data state
 //!   ([`geosocial_stream::snapshot`]), which omits everything derivable
@@ -36,7 +36,7 @@ use geosocial_stream::{AuditConfig, OnlineAuditor, StreamComposition};
 use geosocial_trace::{Checkin, GpsPoint, PoiCategory, Provenance, Timestamp, Visit};
 
 use crate::protocol::{Request, ShardStats};
-use crate::server::ShardState;
+use crate::shard::ShardState;
 use crate::wire::{bad, put_verdict, read_verdict};
 
 /// Snapshot layout version (leading byte of every encoded shard state).
@@ -547,30 +547,21 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<ShardState, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{ServerConfig, ShardCmd};
     use geosocial_store::SENTINEL_USER;
 
     fn seeded_state() -> ShardState {
-        let config = ServerConfig::default();
         let mut st = ShardState::new(2);
-        let origin = LatLon::new(34.42, -119.86);
-        st.apply(&ShardCmd::SetOrigin { origin }, &config, None, None);
+        st.apply(&Request::Hello { origin_lat: 34.42, origin_lon: -119.86 }, None);
         for (i, user) in [7u32, 19, 7, 7, 19].iter().enumerate() {
-            let t = 600 * i as i64;
-            let point = GpsPoint { t, pos: LatLon::new(34.42 + 0.0001 * i as f64, -119.86) };
+            let (t, lat) = (600 * i as i64, 34.42 + 0.0001 * i as f64);
             // Fresh users have no slot yet; first contact is seq 0.
             let seq = st.slot_of.get(user).map_or(0, |&s| st.next_seq[s]);
-            st.apply(&ShardCmd::Gps { user: *user, seq, point }, &config, None, None);
+            st.apply(&Request::Gps { user: *user, seq, t, lat, lon: -119.86 }, None);
         }
         let seq = st.next_seq[st.slot_of[&7u32]];
-        let checkin = Checkin {
-            t: 1_500,
-            poi: 3,
-            category: PoiCategory::Food,
-            location: LatLon::new(34.4201, -119.86),
-            provenance: None,
-        };
-        st.apply(&ShardCmd::Checkin { user: 7, seq, checkin }, &config, None, None);
+        let checkin =
+            Request::Checkin { user: 7, seq, t: 1_500, poi: 3, lat: 34.4201, lon: -119.86 };
+        st.apply(&checkin, None);
         st
     }
 
@@ -614,23 +605,17 @@ mod tests {
 
     #[test]
     fn restored_shard_continues_identically() {
-        let config = ServerConfig::default();
         let mut orig = seeded_state();
         let restored_bytes = encode_state(&orig);
         let mut restored = decode_state(&restored_bytes).expect("decodes");
         // Drive both copies through the same tail of events and finishing;
         // every response must match (responses carry the verdicts).
-        let tail: Vec<ShardCmd> = vec![
-            ShardCmd::Gps {
-                user: 7,
-                seq: orig.next_seq[orig.slot_of[&7u32]],
-                point: GpsPoint { t: 4_000, pos: LatLon::new(34.5, -119.86) },
-            },
-            ShardCmd::Finish,
-        ];
-        for cmd in &tail {
-            let a = orig.apply(cmd, &config, None, None);
-            let b = restored.apply(cmd, &config, None, None);
+        let seq = orig.next_seq[orig.slot_of[&7u32]];
+        let tail =
+            [Request::Gps { user: 7, seq, t: 4_000, lat: 34.5, lon: -119.86 }, Request::Finish];
+        for req in &tail {
+            let a = orig.apply(req, None);
+            let b = restored.apply(req, None);
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
         assert_eq!(encode_state(&orig), encode_state(&restored));

@@ -99,9 +99,13 @@ fn chaos_case(wire: WireFormat, run_len: usize) {
     assert_eq!(final_stats.recoveries, 1);
 }
 
+/// The JSON wire under the fault plan, GPS fixes batched into `GpsRun`
+/// frames. One frame per fix would draw hundreds of 250 ms stalls for no
+/// extra cover: per-fix `Gps` frames under redelivery, worker kills and
+/// crashes are the explorer's `run_len = 1` draws (`tests/explore.rs`).
 #[test]
 fn served_composition_survives_chaos_byte_identical() {
-    chaos_case(WireFormat::Json, 1);
+    chaos_case(WireFormat::Json, 32);
 }
 
 /// The binary wire under the same fault plan, with GPS fixes batched into

@@ -539,8 +539,10 @@ impl EventStore {
         Ok(())
     }
 
-    /// Flush, retrying through injected failures (bounded).
-    fn flush_durably(&mut self) -> io::Result<()> {
+    /// Flush, retrying through failed flushes (bounded; each attempt
+    /// re-rolls any injected fault). For the points that must leave
+    /// nothing buffered: a snapshot, and closing the store.
+    pub fn flush_durably(&mut self) -> io::Result<()> {
         let mut last = Ok(());
         for _ in 0..FLUSH_RETRIES {
             last = self.flush();
